@@ -104,7 +104,7 @@ int main(int argc, char** argv) {
   // runs it without touching the compiler again. (The fluent
   // .run(world) one-liner is a thin wrapper over exactly these two calls.)
   Plan plan = Session::parallelize(prog).pieces(8).compile(world);
-  std::cout << "compile: cacheKey=" << plan.stats().cacheKey
+  std::cout << "compile: cacheHit=" << plan.cacheHit()
             << " solveMs=" << plan.stats().solveMs << '\n';
 
   Session session = Session::execute(plan, world, opts);

@@ -1,8 +1,6 @@
 #include "constraint/canonical.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "support/check.hpp"
@@ -62,7 +60,6 @@ struct Canonicalizer {
   std::vector<CanonicalLoop> loops;    // loop systems then externals
   std::set<std::string> rangeFns;
   std::uint64_t optionBits = 0;
-  std::string extraKey;
   std::size_t externalStart = 0;       // index of first external system
 
   std::vector<NodeKey> nodes;          // stable order: sorted by key
@@ -296,11 +293,7 @@ struct Canonicalizer {
 
   /// One refinement round over the compiled conjuncts; returns the
   /// partition (node -> class rank).
-  std::size_t rounds = 0;
-  std::size_t individualizations = 0;
-
   std::vector<std::size_t> refineRound() {
-    ++rounds;
     const std::uint64_t atLoop = fnv64("@loop");
     const std::uint64_t rf = fnv64("rf");
     touches.resize(nodes.size());
@@ -380,7 +373,6 @@ struct Canonicalizer {
           std::find_if(classes.begin(), classes.end(),
                        [](const auto& c) { return c.second.size() > 1; });
       if (tied == classes.end()) return;
-      ++individualizations;
       color[tied->second.front()] =
           mix(color[tied->second.front()], fnv64("indiv"));
       part = refineToFixpoint();
@@ -476,9 +468,6 @@ struct Canonicalizer {
 
     std::ostringstream os;
     os << "options " << optionBits << '\n';
-    // Caller-supplied key material outside the constraint graph (external
-    // vocabulary, pieces, region sizes); raw names, not canonicalized.
-    if (!extraKey.empty()) os << "extra " << extraKey << '\n';
     std::vector<std::string> rf;
     for (const std::string& f : rangeFns) {
       // Range fns the systems never mention cannot affect the solve.
@@ -583,8 +572,7 @@ System mapSystem(const System& s, const NameMaps& m) {
 CanonicalForm canonicalize(const std::vector<CanonicalLoop>& loops,
                            const std::vector<const System*>& externals,
                            const std::set<std::string>& rangeFns,
-                           std::uint64_t optionBits,
-                           const std::string& extraKey) {
+                           std::uint64_t optionBits) {
   Canonicalizer c;
   c.loops = loops;
   c.externalStart = loops.size();
@@ -593,24 +581,10 @@ CanonicalForm canonicalize(const std::vector<CanonicalLoop>& loops,
   }
   c.rangeFns = rangeFns;
   c.optionBits = optionBits;
-  c.extraKey = extraKey;
   c.collectNodes();
   c.initColors();
   c.compileAllConjuncts();
   c.individualize();
-  if (std::getenv("DPART_CANON_DEBUG") != nullptr) {
-    std::size_t tokens = 0;
-    std::size_t mentions = 0;
-    for (const auto& cj : c.conjuncts) {
-      tokens += cj.tokens.size();
-      mentions += cj.mentions.size();
-    }
-    std::fprintf(stderr,
-                 "canonicalize: nodes=%zu conjuncts=%zu tokens=%zu "
-                 "mentions=%zu rounds=%zu indiv=%zu\n",
-                 c.nodes.size(), c.conjuncts.size(), tokens, mentions,
-                 c.rounds, c.individualizations);
-  }
   return c.finish();
 }
 

@@ -79,11 +79,12 @@ struct CanonicalForm {
 /// hyperedges), with deterministic individualization of residual ties.
 /// `rangeFns` colors range-valued fns differently from point fns (the
 /// lemma engine distinguishes them), and `optionBits` folds the compile
-/// options that change the pipeline's output into the key. `extraKey` is
-/// additional raw (non-canonicalized) key material appended verbatim to the
-/// rendering and hash — the parallelizer passes the external-vocabulary
-/// rendering plus pieces and region sizes, so vocabulary-constrained
-/// compiles never collide with unconstrained ones.
+/// options that change the pipeline's output into the key.
+///
+/// The form's only consumer is a SolveCache lookup, so the parallelizer
+/// computes it only for compiles that consult a cache: one is attached, and
+/// there is no external vocabulary and no proof request (their solutions
+/// bind to concrete names and sizes, which the form abstracts away).
 ///
 /// Isomorphic inputs produce identical hash + rendering; the labeling is an
 /// isomorphism onto the canonical form whenever the rendering matches, so
@@ -91,7 +92,6 @@ struct CanonicalForm {
 [[nodiscard]] CanonicalForm canonicalize(
     const std::vector<CanonicalLoop>& loops,
     const std::vector<const System*>& externals,
-    const std::set<std::string>& rangeFns, std::uint64_t optionBits,
-    const std::string& extraKey = {});
+    const std::set<std::string>& rangeFns, std::uint64_t optionBits);
 
 }  // namespace dpart::constraint

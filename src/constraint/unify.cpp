@@ -23,7 +23,8 @@ std::vector<GraphEdge> constraintGraph(const System& system) {
   return edges;
 }
 
-std::string UnifyResult::resolve(std::string symbol) const {
+std::string followRenames(const std::map<std::string, std::string>& renames,
+                          std::string symbol) {
   auto it = renames.find(symbol);
   while (it != renames.end()) {
     symbol = it->second;

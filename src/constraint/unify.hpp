@@ -3,6 +3,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "constraint/system.hpp"
@@ -21,6 +22,11 @@ struct GraphEdge {
 /// Extracts the constraint graph of a system.
 std::vector<GraphEdge> constraintGraph(const System& system);
 
+/// Follows rename chains (eliminated symbol -> surviving symbol) from
+/// `symbol` to the name that survives them all.
+[[nodiscard]] std::string followRenames(
+    const std::map<std::string, std::string>& renames, std::string symbol);
+
 /// Result of combining and unifying per-loop (and external) systems.
 struct UnifyResult {
   System system;
@@ -28,8 +34,10 @@ struct UnifyResult {
   /// symbols to the final unified names.
   std::map<std::string, std::string> renames;
 
-  /// Follows rename chains to the surviving name.
-  [[nodiscard]] std::string resolve(std::string symbol) const;
+  /// followRenames over `renames`.
+  [[nodiscard]] std::string resolve(std::string symbol) const {
+    return followRenames(renames, std::move(symbol));
+  }
 };
 
 /// Intra-system simplification: collapses plain subset edges P <= Q between

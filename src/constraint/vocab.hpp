@@ -22,6 +22,8 @@ namespace dpart::constraint {
 struct CapacityBound {
   std::string region;
   std::size_t maxPerPiece = 0;
+
+  bool operator==(const CapacityBound&) const = default;
 };
 
 /// Placement affinity between two fields, each named "region.field".
@@ -33,6 +35,8 @@ struct FieldAffinity {
   std::string fieldA;
   std::string fieldB;
   bool together = true;
+
+  bool operator==(const FieldAffinity&) const = default;
 };
 
 /// The total number of elements a partition of `region` materializes,
@@ -43,6 +47,8 @@ struct ReplicationBound {
   std::string region;
   double minFactor = 0.0;
   double maxFactor = 0.0;
+
+  bool operator==(const ReplicationBound&) const = default;
 };
 
 /// The user-facing constraint set, in field/region vocabulary. Carried by
@@ -56,10 +62,7 @@ struct Vocabulary {
     return capacities.empty() && affinities.empty() && replications.empty();
   }
 
-  /// Deterministic one-line-per-entry rendering (sorted); folded into the
-  /// solve-cache key so vocabularies distinguish otherwise identical
-  /// compiles, and echoed into proof certificates.
-  [[nodiscard]] std::string rendered() const;
+  bool operator==(const Vocabulary&) const = default;
 };
 
 /// The same constraints translated onto post-unification partition symbols

@@ -206,105 +206,100 @@ std::vector<region::PartitionExpectation> planExpectations(
   return out;
 }
 
-AutoParallelizer::AutoParallelizer(const region::World& world, Options options)
-    : world_(world), options_(options) {}
-
-void AutoParallelizer::addExternalConstraint(const System& external) {
-  System marked;
-  marked.merge(external, /*assumed=*/true);
-  externals_.push_back(std::move(marked));
-}
-
-std::set<std::string> AutoParallelizer::rangeFnIds() const {
-  std::set<std::string> out;
-  for (const std::string& id : world_.fnIds()) {
-    if (world_.fn(id).isRangeValued()) out.insert(id);
+std::string vocabularyProblem(const constraint::Vocabulary& vocab,
+                              const region::World& world,
+                              std::size_t pieces) {
+  for (const constraint::CapacityBound& cb : vocab.capacities) {
+    if (!world.hasRegion(cb.region)) {
+      return "capacity bound names unknown region '" + cb.region + "'";
+    }
+    if (cb.maxPerPiece == 0) {
+      return "capacity bound on '" + cb.region + "' must be positive";
+    }
   }
-  return out;
-}
-
-ParallelPlan AutoParallelizer::plan(const ir::Program& program) {
-  ParallelPlan result;
-  // The plan keeps its own copy of the program: PlannedLoop::loop points at
-  // these loops, so the plan must not dangle when the caller's program is a
-  // temporary (or is destroyed before the plan is executed).
-  result.program = std::make_shared<const ir::Program>(program);
-  const std::set<std::string> rangeFns = rangeFnIds();
-  Timer timer;
-
-  // ---- External-vocabulary validation (shape errors are BadRequest-class
-  // failures; *infeasibility* is only ever decided by the solver) ----
-  const constraint::Vocabulary& vocab = options_.vocab;
-  if (!vocab.empty()) {
-    DPART_CHECK(options_.engine == constraint::SolverEngine::Propagation,
-                "the syntax-directed engine does not support external "
-                "vocabularies");
-    for (const constraint::CapacityBound& cb : vocab.capacities) {
-      DPART_CHECK(world_.hasRegion(cb.region),
-                  "capacity bound names unknown region '" + cb.region + "'");
-      DPART_CHECK(cb.maxPerPiece > 0,
-                  "capacity bound on '" + cb.region + "' must be positive");
+  for (const constraint::ReplicationBound& rb : vocab.replications) {
+    if (!world.hasRegion(rb.region)) {
+      return "replication bound names unknown region '" + rb.region + "'";
     }
-    for (const constraint::ReplicationBound& rb : vocab.replications) {
-      DPART_CHECK(world_.hasRegion(rb.region),
-                  "replication bound names unknown region '" + rb.region +
-                      "'");
-      DPART_CHECK(rb.minFactor >= 0,
-                  "replication floor on '" + rb.region +
-                      "' must be non-negative");
-      DPART_CHECK(rb.maxFactor <= 0 || rb.maxFactor >= rb.minFactor,
-                  "replication bounds on '" + rb.region + "' are inverted");
+    // Negated comparisons, so a NaN bound off the wire is a problem too.
+    if (!(rb.minFactor >= 0)) {
+      return "replication floor on '" + rb.region + "' must be non-negative";
     }
-    for (const constraint::FieldAffinity& fa : vocab.affinities) {
-      for (const std::string& f : {fa.fieldA, fa.fieldB}) {
-        const auto dot = f.find('.');
-        DPART_CHECK(dot != std::string::npos && dot > 0 &&
-                        dot + 1 < f.size(),
-                    "affinity field '" + f + "' must be 'region.field'");
-        DPART_CHECK(world_.hasRegion(f.substr(0, dot)),
-                    "affinity field '" + f + "' names unknown region '" +
-                        f.substr(0, dot) + "'");
+    if (!(rb.maxFactor <= 0 || rb.maxFactor >= rb.minFactor)) {
+      return "replication bounds on '" + rb.region + "' are inverted";
+    }
+  }
+  for (const constraint::FieldAffinity& fa : vocab.affinities) {
+    for (const std::string& f : {fa.fieldA, fa.fieldB}) {
+      const auto dot = f.find('.');
+      if (dot == std::string::npos || dot == 0 || dot + 1 >= f.size()) {
+        return "affinity field '" + f + "' must be 'region.field'";
+      }
+      if (!world.hasRegion(f.substr(0, dot))) {
+        return "affinity field '" + f + "' names unknown region '" +
+               f.substr(0, dot) + "'";
       }
     }
-    DPART_CHECK(vocab.capacities.empty() && vocab.replications.empty()
-                    ? true
-                    : options_.pieces > 0,
-                "Options::pieces must be set when capacity or replication "
-                "bounds are present");
   }
-  const bool wantProof = !options_.proofFile.empty();
-  constraint::ProofLog proofLog;
-  constraint::SolverVocabulary svocab;
+  if (pieces == 0 &&
+      !(vocab.capacities.empty() && vocab.replications.empty())) {
+    return "Options::pieces must be set when capacity or replication "
+           "bounds are present";
+  }
+  return "";
+}
 
-  // ---- Inference (Algorithm 1) ----
-  struct LoopState {
-    const ir::Loop* loop;
-    analysis::ParallelizableResult accesses;
-    analysis::LoopConstraints constraints;
-    optimize::LoopReductionPlan reduction;
-  };
+namespace {
+
+/// One compile phase: the "compile"-category trace span and the
+/// CompileStats field that report it open and close together, so the two
+/// views of a phase always bracket the same code.
+class Phase {
+ public:
+  Phase(Tracer* tracer, const char* name, double& ms)
+      : span_(tracer, "compile", [name] { return std::string(name); }),
+        ms_(ms) {}
+  ~Phase() { ms_ += timer_.millis(); }
+
+ private:
+  TraceSpan span_;
+  double& ms_;
+  Timer timer_;
+};
+
+/// One loop as it moves through the stages: infer fills the access
+/// analysis and the constraints, relax the reduction plan, and synthesize
+/// settles each reduction's strategy.
+struct LoopState {
+  const ir::Loop* loop;
+  analysis::ParallelizableResult accesses;
+  analysis::LoopConstraints constraints;
+  optimize::LoopReductionPlan reduction;
+};
+
+/// Infer (Algorithm 1): checks that every loop is parallelizable and infers
+/// its constraint system.
+std::vector<LoopState> infer(const region::World& world,
+                             const ir::Program& program) {
   std::vector<LoopState> loops;
   constraint::SymbolGen gen;
-  {
-    DPART_TRACE_SPAN(tracer_, "compile", "phase.infer");
-    for (const ir::Loop& loop : result.program->loops) {
-      LoopState st;
-      st.loop = &loop;
-      st.accesses = analysis::checkParallelizable(world_, loop);
-      DPART_CHECK(st.accesses.ok,
-                  "loop '" + loop.name + "' is not parallelizable: " +
-                      st.accesses.reason);
-      st.constraints = analysis::inferConstraints(world_, loop, gen);
-      loops.push_back(std::move(st));
-    }
+  for (const ir::Loop& loop : program.loops) {
+    LoopState st;
+    st.loop = &loop;
+    st.accesses = analysis::checkParallelizable(world, loop);
+    DPART_CHECK(st.accesses.ok, "loop '" + loop.name +
+                                    "' is not parallelizable: " +
+                                    st.accesses.reason);
+    st.constraints = analysis::inferConstraints(world, loop, gen);
+    loops.push_back(std::move(st));
   }
-  result.stats.parallelLoops = static_cast<int>(loops.size());
-  result.stats.inferMs = timer.millis();
-  timer.reset();
+  return loops;
+}
 
-  DPART_TRACE_SPAN_NAMED(relaxSpan, tracer_, "compile", "phase.relax");
-  // ---- Section 5.1 relaxation (per iteration-region group) ----
-  if (options_.enableRelaxation) {
+/// Relax (Section 5.1, per iteration-region group), then plan every
+/// remaining uncentered reduction as buffered (synthesize may upgrade it).
+void relax(std::vector<LoopState>& loops, bool enableRelaxation) {
+  if (enableRelaxation) {
     // The paper's heuristic: relax only when *all* loops using the same
     // iteration-space region can be relaxed. A loop with centered writes
     // cannot run on an aliased iteration partition without losing its
@@ -338,8 +333,6 @@ ParallelPlan AutoParallelizer::plan(const ir::Program& program) {
     }
   }
 
-  // Tentative plans for remaining uncentered reductions: buffered (may be
-  // upgraded below).
   for (LoopState& st : loops) {
     if (st.reduction.relaxed) continue;
     for (const analysis::AccessInfo& a : st.accesses.accesses) {
@@ -351,358 +344,271 @@ ParallelPlan AutoParallelizer::plan(const ir::Program& program) {
       st.reduction.reduces.push_back(rp);
     }
   }
+}
 
-  relaxSpan.end();
-  const double relaxMs = timer.millis();
-  timer.reset();
-
-  // ---- Canonical cache key (post-relaxation) ----
-  // Algorithm 3 already computes isomorphism classes of constraint graphs;
-  // canonicalize() lifts that to the whole program so an isomorphic program
-  // compiled before — under any renaming of symbols, regions and fns — can
-  // reuse its collapse+unify+solve result. The key covers everything that
-  // stage consumes: the post-relax systems, the external constraint systems,
-  // the range-fn set, the relevant options, each loop's relaxed flag and its
-  // reduce-target symbols (which drive the disjoint-reduction attempt).
-  DPART_TRACE_SPAN_NAMED(canonSpan, tracer_, "compile", "phase.canon");
+/// Key: the canonical form of the post-relaxation constraint state, so an
+/// isomorphic program compiled before — under any renaming of symbols,
+/// regions and fns — can reuse its resolution. The form covers everything
+/// the resolve stage consumes: the loop and external constraint systems,
+/// the range-fn set, the relevant options, each loop's relaxed flag and its
+/// reduce-target symbols (which drive the disjoint-reduction attempt).
+constraint::CanonicalForm canonicalKey(const std::vector<LoopState>& loops,
+                                       const std::vector<System>& externals,
+                                       const std::set<std::string>& rangeFns,
+                                       const Options& options) {
   const std::uint64_t optionBits =
-      (options_.enableRelaxation ? 1u : 0u) |
-      (options_.enableDisjointReduction ? 2u : 0u) |
-      (options_.enablePrivateSubPartitions ? 4u : 0u) |
-      (options_.enableUnification ? 8u : 0u);
-  constraint::CanonicalForm canon;
-  {
-    std::vector<constraint::CanonicalLoop> canonLoops;
-    canonLoops.reserve(loops.size());
-    for (const LoopState& st : loops) {
-      constraint::CanonicalLoop cl;
-      cl.system = &st.constraints.system;
-      cl.relaxed = st.reduction.relaxed;
-      for (const ReducePlan& rp : st.reduction.reduces) {
-        cl.reduceTargets.push_back(rp.partition);
-      }
-      canonLoops.push_back(std::move(cl));
+      (options.enableRelaxation ? 1u : 0u) |
+      (options.enableDisjointReduction ? 2u : 0u) |
+      (options.enablePrivateSubPartitions ? 4u : 0u) |
+      (options.enableUnification ? 8u : 0u);
+  std::vector<constraint::CanonicalLoop> canonLoops;
+  canonLoops.reserve(loops.size());
+  for (const LoopState& st : loops) {
+    constraint::CanonicalLoop cl;
+    cl.system = &st.constraints.system;
+    cl.relaxed = st.reduction.relaxed;
+    for (const ReducePlan& rp : st.reduction.reduces) {
+      cl.reduceTargets.push_back(rp.partition);
     }
-    std::vector<const System*> exts;
-    exts.reserve(externals_.size());
-    for (const System& ext : externals_) exts.push_back(&ext);
-    // Vocabulary constraints reference concrete region names and sizes —
-    // exactly what canonical isomorphism abstracts away — so they join the
-    // key as raw material: two compiles only share a key when their
-    // vocabularies, piece counts and region sizes agree verbatim.
-    std::string extraKey;
-    if (!vocab.empty()) {
-      std::ostringstream ek;
-      ek << "pieces " << options_.pieces << '\n' << vocab.rendered();
-      for (const std::string& r : world_.regionNames()) {
-        ek << "size " << r << ' ' << world_.region(r).size() << '\n';
-      }
-      extraKey = ek.str();
-    }
-    canon = constraint::canonicalize(canonLoops, exts, rangeFns, optionBits,
-                                     extraKey);
+    canonLoops.push_back(std::move(cl));
   }
-  result.stats.cacheKey = canon.hash;
-  canonSpan.end();
-  result.stats.canonMs = timer.millis();
-  timer.reset();
+  std::vector<const System*> exts;
+  exts.reserve(externals.size());
+  for (const System& ext : externals) exts.push_back(&ext);
+  return constraint::canonicalize(canonLoops, exts, rangeFns, optionBits);
+}
 
-  // Constrained and proof-emitting compiles bypass the cache in both
-  // directions: rebinding a cached solve under renamed symbols cannot
-  // preserve vocabulary semantics (which bind to concrete names), and a
-  // certificate must describe an actual solve, not a rebound one.
-  SolveCache* cache =
-      (!vocab.empty() || wantProof) ? nullptr : options_.solveCache;
-  std::shared_ptr<const SolveCacheEntry> cached =
-      cache ? cache->find(canon.hash, canon.rendering) : nullptr;
-
-  std::map<std::string, std::string> renames;
-  constraint::Solution sol;
-  std::set<std::string> fixedSymbols;
-
-  if (cached) {
-    // ---- Cache hit: rebind the canonical solve into this program's names.
-    // The rendering matched, so `canon.toCanonical` is an isomorphism onto
-    // the systems the entry was solved for; mapping the entry back through
-    // its inverse yields exactly the solution a fresh solve of *this*
-    // program would produce (solver determinism + symmetry).
-    result.stats.cacheHit = true;
-    const constraint::NameMaps back = canon.toCanonical.inverted();
-    for (const auto& [from, to] : cached->renames) {
-      renames[back.symbol(from)] = back.symbol(to);
+/// Unify (Algorithm 3): collapses plain edges within each loop system, then
+/// unifies symbols across the loop and external systems. Disabled, the
+/// systems are merged as they are (the paper's naive per-access baseline).
+constraint::UnifyResult unify(const std::vector<LoopState>& loops,
+                              const std::vector<System>& externals,
+                              const std::set<std::string>& rangeFns,
+                              bool enableUnification) {
+  std::map<std::string, std::string> collapsed;
+  std::vector<System> systems;
+  systems.reserve(loops.size() + externals.size());
+  for (const LoopState& st : loops) {
+    systems.push_back(st.constraints.system);
+    if (enableUnification) {
+      constraint::collapsePlainEdges(systems.back(), collapsed, rangeFns);
     }
-    sol.ok = true;
-    for (const auto& [sym, expr] : cached->assignments) {
-      sol.assignments[back.symbol(sym)] = constraint::mapExpr(expr, back);
-    }
-    sol.order.reserve(cached->order.size());
-    for (const std::string& sym : cached->order) {
-      sol.order.push_back(back.symbol(sym));
-    }
-    sol.resolved = constraint::mapSystem(cached->resolved, back);
-    for (const std::string& sym : cached->fixedSymbols) {
-      fixedSymbols.insert(back.symbol(sym));
-    }
-    result.stats.solveMs = relaxMs + timer.millis();
-    timer.reset();
+  }
+  systems.insert(systems.end(), externals.begin(), externals.end());
+  constraint::UnifyResult out;
+  if (enableUnification) {
+    out = constraint::unifySystems(std::move(systems), rangeFns);
+    out.renames.merge(collapsed);  // unification's renames take precedence
   } else {
-    // ---- Unification (Algorithm 3) ----
-    DPART_TRACE_SPAN_NAMED(unifySpan, tracer_, "compile", "phase.unify");
-    std::vector<System> systems;
-    for (LoopState& st : loops) {
-      if (options_.enableUnification) {
-        constraint::collapsePlainEdges(st.constraints.system, renames,
-                                       rangeFns);
-      }
-      systems.push_back(st.constraints.system);
-    }
-    for (const System& ext : externals_) systems.push_back(ext);
+    for (const System& s : systems) out.system.merge(s);
+    out.system = out.system.substituted({});
+  }
+  return out;
+}
 
-    System combined;
-    if (options_.enableUnification) {
-      constraint::UnifyResult ur = constraint::unifySystems(systems, rangeFns);
-      combined = std::move(ur.system);
-      for (const auto& [from, to] : ur.renames) renames[from] = to;
-    } else {
-      for (const System& s : systems) combined.merge(s);
-      combined = combined.substituted({});
-    }
-    unifySpan.end();
-    result.stats.unifyMs = timer.millis();
-    timer.reset();
-
-    auto finalName = [&renames](std::string sym) {
-      auto it = renames.find(sym);
-      while (it != renames.end()) {
-        sym = it->second;
-        it = renames.find(sym);
-      }
-      return sym;
-    };
-
-    // ---- Vocabulary translation onto post-unification symbols ----
-    // Capacity / replication bounds on a region apply to every open symbol
-    // partitioning it; field affinities bind the access partitions of the
-    // named "region.field" statements (pairs keep the field names for
-    // first-conflict provenance).
-    if (!vocab.empty()) {
-      auto openSymbolsOf = [&](const std::string& regionName) {
-        std::vector<std::string> out;
-        for (const std::string& sym : combined.symbols()) {
-          if (!combined.isFixed(sym) &&
-              combined.regionOf(sym) == regionName) {
-            out.push_back(sym);
-          }
-        }
-        return out;
-      };
-      for (const constraint::CapacityBound& cb : vocab.capacities) {
-        for (const std::string& sym : openSymbolsOf(cb.region)) {
-          auto [it, inserted] =
-              svocab.capacity.try_emplace(sym, cb.maxPerPiece);
-          if (!inserted) it->second = std::min(it->second, cb.maxPerPiece);
-        }
-      }
-      for (const constraint::ReplicationBound& rb : vocab.replications) {
-        for (const std::string& sym : openSymbolsOf(rb.region)) {
-          auto [it, inserted] = svocab.replication.try_emplace(
-              sym, std::make_pair(rb.minFactor, rb.maxFactor));
-          if (inserted) continue;
-          it->second.first = std::max(it->second.first, rb.minFactor);
-          if (rb.maxFactor > 0) {
-            it->second.second = it->second.second <= 0
-                                    ? rb.maxFactor
-                                    : std::min(it->second.second,
-                                               rb.maxFactor);
-          }
-        }
-      }
-      auto fieldSymbols = [&](const std::string& fieldName) {
-        const auto dot = fieldName.find('.');
-        const std::string regionName = fieldName.substr(0, dot);
-        const std::string field = fieldName.substr(dot + 1);
-        std::set<std::string> syms;
-        for (const LoopState& st : loops) {
-          for (const analysis::AccessInfo& a : st.accesses.accesses) {
-            if (a.stmt->region == regionName && a.stmt->field == field) {
-              syms.insert(finalName(st.constraints.stmtSymbol.at(a.stmt->id)));
-            }
-          }
-        }
-        DPART_CHECK(!syms.empty(), "affinity field '" + fieldName +
-                                       "' matches no access in the program");
-        return syms;
-      };
-      std::set<std::pair<std::string, std::string>> seenCo, seenAnti;
-      for (const constraint::FieldAffinity& fa : vocab.affinities) {
-        for (const std::string& sa : fieldSymbols(fa.fieldA)) {
-          for (const std::string& sb : fieldSymbols(fa.fieldB)) {
-            // Unification may have collapsed both fields onto one symbol:
-            // co-location then already holds structurally, while
-            // anti-affinity becomes a (refutable) self-conflict the
-            // propagator reports with field provenance.
-            if (fa.together && sa == sb) continue;
-            const auto key = std::minmax(sa, sb);
-            auto& seen = fa.together ? seenCo : seenAnti;
-            if (!seen.insert(key).second) continue;
-            constraint::SolverVocabulary::SymbolPair pair;
-            pair.symA = sa;
-            pair.symB = sb;
-            pair.fieldA = fa.fieldA;
-            pair.fieldB = fa.fieldB;
-            (fa.together ? svocab.colocated : svocab.antiAffine)
-                .push_back(std::move(pair));
-          }
-        }
-      }
-    }
-
-    // ---- Section 5.1 first strategy: disjoint reduction partitions ----
-    // For non-relaxed loops whose uncentered reductions all target one
-    // partition symbol, demand DISJ on it so the solver derives a preimage
-    // iteration partition and no buffer is needed. Fall back when unsolvable.
-    DPART_TRACE_SPAN_NAMED(solveSpan, tracer_, "compile", "phase.solve");
-    std::set<std::string> disjointified;
-    if (options_.enableDisjointReduction) {
-      for (const LoopState& st : loops) {
-        if (st.reduction.relaxed) continue;
-        std::set<std::string> targets;
-        for (const ReducePlan& rp : st.reduction.reduces) {
-          targets.insert(finalName(rp.partition));
-        }
-        if (targets.size() == 1) disjointified.insert(*targets.begin());
-      }
-    }
-
-    constraint::SolverConfig scfg;
-    scfg.engine = options_.engine;
-    scfg.vocab = svocab;
-    scfg.pieces = options_.pieces;
-    scfg.search = options_.search;
-    for (const std::string& r : world_.regionNames()) {
-      scfg.regionSizes[r] = static_cast<std::size_t>(world_.region(r).size());
-    }
-
-    {
-      System attempt = combined;
-      for (const std::string& sym : disjointified) {
-        if (attempt.hasSymbol(sym) && !attempt.isFixed(sym)) {
-          attempt.addDisj(dpl::symbol(sym));
-        }
-      }
-      constraint::Solver solver(attempt, rangeFns, scfg);
-      sol = solver.solve();
-      bool usedAttempt = true;
-      if (!sol.ok && !disjointified.empty()) {
-        disjointified.clear();
-        constraint::Solver plain(combined, rangeFns, scfg);
-        sol = plain.solve();
-        usedAttempt = false;
-      }
-      if (wantProof) {
-        // Emit the certificate header (ground model + decisive system +
-        // vocabulary), then replay the decisive solve with logging: the
-        // solver is deterministic, so the trail reproduces the result
-        // above exactly.
-        const System& decisive = usedAttempt ? attempt : combined;
-        proofLog.begin(options_.pieces);
-        for (const std::string& r : world_.regionNames()) {
-          proofLog.region(r, static_cast<std::size_t>(world_.region(r)
-                                                          .size()));
-        }
-        for (const std::string& id : world_.fnIds()) {
-          const region::FnDef& fn = world_.fn(id);
-          const region::Index n = world_.region(fn.domainRegion).size();
-          if (fn.isRangeValued()) {
-            std::vector<std::pair<long long, long long>> table;
-            table.reserve(static_cast<std::size_t>(n));
-            for (region::Index i = 0; i < n; ++i) {
-              const region::Run run = world_.evalRange(id, i);
-              table.emplace_back(run.lo, run.hi);
-            }
-            proofLog.rangeFn(id, fn.domainRegion, fn.rangeRegion, table);
-          } else {
-            std::vector<long long> table;
-            table.reserve(static_cast<std::size_t>(n));
-            for (region::Index i = 0; i < n; ++i) {
-              table.push_back(world_.evalPoint(id, i));
-            }
-            proofLog.pointFn(id, fn.domainRegion, fn.rangeRegion, table);
-          }
-        }
-        for (const std::string& sym : decisive.symbols()) {
-          proofLog.symbol(sym, decisive.isFixed(sym), decisive.regionOf(sym));
-        }
-        proofLog.conjuncts(decisive);
-        proofLog.vocabulary(svocab);
-        constraint::SolverConfig pcfg = scfg;
-        pcfg.proof = &proofLog;
-        constraint::Solver logged(decisive, rangeFns, pcfg);
-        const constraint::Solution psol = logged.solve();
-        DPART_CHECK(psol.ok == sol.ok,
-                    "proof replay diverged from the decisive solve");
-      }
-    }
-    result.stats.solve = sol.stats;
-    if (!sol.ok) {
-      const std::string msg = "constraint resolution failed: " + sol.failure;
-      if (wantProof) {
-        // The certificate already carries the infeasibility trail; write it
-        // before surfacing the failure so the caller can hand it to
-        // tools/proof_check.
-        writeProofFile(options_.proofFile, proofLog.finish());
-        result.stats.proofEvents = proofLog.events();
-        result.stats.proofBytes = proofLog.bytes();
-      }
-      if (sol.conflict.valid()) throw constraint::InfeasibleError(msg);
-      DPART_CHECK(false, msg);
-    }
-    solveSpan.end();
-    // The relaxation analysis is part of what the paper's Table 1 bills as
-    // "solve"; unification is reported on its own row.
-    result.stats.solveMs = relaxMs + timer.millis();
-    timer.reset();
-
+/// Translates the user vocabulary onto the unified system's symbols.
+/// Capacity / replication bounds on a region apply to every open symbol
+/// partitioning it; field affinities bind the access partitions of the
+/// named "region.field" statements (pairs keep the field names for
+/// first-conflict provenance).
+constraint::SolverVocabulary translateVocabulary(
+    const constraint::Vocabulary& vocab,
+    const constraint::UnifyResult& unified,
+    const std::vector<LoopState>& loops) {
+  constraint::SolverVocabulary svocab;
+  const System& combined = unified.system;
+  auto openSymbolsOf = [&](const std::string& regionName) {
+    std::vector<std::string> out;
     for (const std::string& sym : combined.symbols()) {
-      if (combined.isFixed(sym)) fixedSymbols.insert(sym);
+      if (!combined.isFixed(sym) && combined.regionOf(sym) == regionName) {
+        out.push_back(sym);
+      }
     }
+    return out;
+  };
+  for (const constraint::CapacityBound& cb : vocab.capacities) {
+    for (const std::string& sym : openSymbolsOf(cb.region)) {
+      auto [it, inserted] = svocab.capacity.try_emplace(sym, cb.maxPerPiece);
+      if (!inserted) it->second = std::min(it->second, cb.maxPerPiece);
+    }
+  }
+  for (const constraint::ReplicationBound& rb : vocab.replications) {
+    for (const std::string& sym : openSymbolsOf(rb.region)) {
+      auto [it, inserted] = svocab.replication.try_emplace(
+          sym, std::make_pair(rb.minFactor, rb.maxFactor));
+      if (inserted) continue;
+      it->second.first = std::max(it->second.first, rb.minFactor);
+      if (rb.maxFactor > 0) {
+        it->second.second = it->second.second <= 0
+                                ? rb.maxFactor
+                                : std::min(it->second.second, rb.maxFactor);
+      }
+    }
+  }
+  auto fieldSymbols = [&](const std::string& fieldName) {
+    const auto dot = fieldName.find('.');
+    const std::string regionName = fieldName.substr(0, dot);
+    const std::string field = fieldName.substr(dot + 1);
+    std::set<std::string> syms;
+    for (const LoopState& st : loops) {
+      for (const analysis::AccessInfo& a : st.accesses.accesses) {
+        if (a.stmt->region == regionName && a.stmt->field == field) {
+          syms.insert(
+              unified.resolve(st.constraints.stmtSymbol.at(a.stmt->id)));
+        }
+      }
+    }
+    DPART_CHECK(!syms.empty(), "affinity field '" + fieldName +
+                                   "' matches no access in the program");
+    return syms;
+  };
+  std::set<std::pair<std::string, std::string>> seenCo, seenAnti;
+  for (const constraint::FieldAffinity& fa : vocab.affinities) {
+    for (const std::string& sa : fieldSymbols(fa.fieldA)) {
+      for (const std::string& sb : fieldSymbols(fa.fieldB)) {
+        // Unification may have collapsed both fields onto one symbol:
+        // co-location then already holds structurally, while anti-affinity
+        // becomes a (refutable) self-conflict the propagator reports with
+        // field provenance.
+        if (fa.together && sa == sb) continue;
+        const auto key = std::minmax(sa, sb);
+        auto& seen = fa.together ? seenCo : seenAnti;
+        if (!seen.insert(key).second) continue;
+        constraint::SolverVocabulary::SymbolPair pair;
+        pair.symA = sa;
+        pair.symB = sb;
+        pair.fieldA = fa.fieldA;
+        pair.fieldB = fa.fieldB;
+        (fa.together ? svocab.colocated : svocab.antiAffine)
+            .push_back(std::move(pair));
+      }
+    }
+  }
+  return svocab;
+}
 
-    if (cache) {
-      // Store the whole unit in canonical names so any isomorphic program
-      // (from any tenant) can rebind it.
-      auto entry = std::make_shared<SolveCacheEntry>();
-      entry->rendering = canon.rendering;
-      for (const auto& [from, to] : renames) {
-        entry->renames[canon.toCanonical.symbol(from)] =
-            canon.toCanonical.symbol(to);
+/// Logs a proof certificate's model section (ground regions and fns, the
+/// decisive system, the vocabulary) and its search trail, by replaying the
+/// decisive solve with logging on: the solver is deterministic, so the
+/// replay reproduces the solve it certifies.
+void logSolve(constraint::ProofLog& proof, const region::World& world,
+              const System& decisive, const std::set<std::string>& rangeFns,
+              constraint::SolverConfig cfg, bool solved) {
+  proof.begin(cfg.pieces);
+  for (const std::string& r : world.regionNames()) {
+    proof.region(r, static_cast<std::size_t>(world.region(r).size()));
+  }
+  for (const std::string& id : world.fnIds()) {
+    const region::FnDef& fn = world.fn(id);
+    const region::Index n = world.region(fn.domainRegion).size();
+    if (fn.isRangeValued()) {
+      std::vector<std::pair<long long, long long>> table;
+      table.reserve(static_cast<std::size_t>(n));
+      for (region::Index i = 0; i < n; ++i) {
+        const region::Run run = world.evalRange(id, i);
+        table.emplace_back(run.lo, run.hi);
       }
-      for (const auto& [sym, expr] : sol.assignments) {
-        entry->assignments[canon.toCanonical.symbol(sym)] =
-            constraint::mapExpr(expr, canon.toCanonical);
+      proof.rangeFn(id, fn.domainRegion, fn.rangeRegion, table);
+    } else {
+      std::vector<long long> table;
+      table.reserve(static_cast<std::size_t>(n));
+      for (region::Index i = 0; i < n; ++i) {
+        table.push_back(world.evalPoint(id, i));
       }
-      entry->order.reserve(sol.order.size());
-      for (const std::string& sym : sol.order) {
-        entry->order.push_back(canon.toCanonical.symbol(sym));
+      proof.pointFn(id, fn.domainRegion, fn.rangeRegion, table);
+    }
+  }
+  for (const std::string& sym : decisive.symbols()) {
+    proof.symbol(sym, decisive.isFixed(sym), decisive.regionOf(sym));
+  }
+  proof.conjuncts(decisive);
+  proof.vocabulary(cfg.vocab);
+  cfg.proof = &proof;
+  DPART_CHECK(constraint::Solver(decisive, rangeFns, cfg).solve().ok == solved,
+              "proof replay diverged from the decisive solve");
+}
+
+/// Solve (Algorithm 2) on the unified system under the translated
+/// vocabulary. Section 5.1's first strategy comes first: every non-relaxed
+/// loop whose uncentered reductions all target one partition symbol demands
+/// DISJ on it, so the solver derives a preimage iteration partition and no
+/// buffer is needed; when that is unsolvable, the plain system is solved
+/// instead. With `proof`, the certificate's model and trail are logged, and
+/// an infeasible certificate is written before the failure is thrown.
+Resolution solve(constraint::UnifyResult unified,
+                 const std::vector<LoopState>& loops,
+                 const constraint::SolverVocabulary& svocab,
+                 const std::set<std::string>& rangeFns,
+                 const region::World& world, const Options& options,
+                 constraint::ProofLog* proof) {
+  std::set<std::string> disjointified;
+  if (options.enableDisjointReduction) {
+    for (const LoopState& st : loops) {
+      if (st.reduction.relaxed) continue;
+      std::set<std::string> targets;
+      for (const ReducePlan& rp : st.reduction.reduces) {
+        targets.insert(unified.resolve(rp.partition));
       }
-      entry->resolved = constraint::mapSystem(sol.resolved, canon.toCanonical);
-      for (const std::string& sym : fixedSymbols) {
-        entry->fixedSymbols.insert(canon.toCanonical.symbol(sym));
-      }
-      cache->insert(canon.hash, std::move(entry));
+      if (targets.size() == 1) disjointified.insert(*targets.begin());
     }
   }
 
-  auto finalName = [&renames](std::string sym) {
-    auto it = renames.find(sym);
-    while (it != renames.end()) {
-      sym = it->second;
-      it = renames.find(sym);
-    }
-    return sym;
-  };
+  constraint::SolverConfig scfg;
+  scfg.engine = options.engine;
+  scfg.vocab = svocab;
+  scfg.pieces = options.pieces;
+  scfg.search = options.search;
+  for (const std::string& r : world.regionNames()) {
+    scfg.regionSizes[r] = static_cast<std::size_t>(world.region(r).size());
+  }
 
-  // ---- Rewrite: emit DPL program and per-loop plans ----
-  DPART_TRACE_SPAN(tracer_, "compile", "phase.synthesize");
+  const System& combined = unified.system;
+  System attempt = combined;
+  for (const std::string& sym : disjointified) {
+    if (attempt.hasSymbol(sym) && !attempt.isFixed(sym)) {
+      attempt.addDisj(dpl::symbol(sym));
+    }
+  }
+  Resolution out;
+  constraint::Solution& sol = out.solution;
+  sol = constraint::Solver(attempt, rangeFns, scfg).solve();
+  bool usedAttempt = true;
+  if (!sol.ok && !disjointified.empty()) {
+    sol = constraint::Solver(combined, rangeFns, scfg).solve();
+    usedAttempt = false;
+  }
+  if (proof != nullptr) {
+    logSolve(*proof, world, usedAttempt ? attempt : combined, rangeFns, scfg,
+             sol.ok);
+  }
+  if (!sol.ok) {
+    const std::string msg = "constraint resolution failed: " + sol.failure;
+    // The certificate already carries the infeasibility trail; write it
+    // before surfacing the failure so the caller can hand it to
+    // tools/proof_check.
+    if (proof != nullptr) writeProofFile(options.proofFile, proof->finish());
+    if (sol.conflict.valid()) throw constraint::InfeasibleError(msg);
+    DPART_CHECK(false, msg);
+  }
+  for (const std::string& sym : combined.symbols()) {
+    if (combined.isFixed(sym)) out.fixedSymbols.insert(sym);
+  }
+  out.renames = std::move(unified.renames);
+  return out;
+}
+
+/// Synthesize (Table 1's "code rewrite"): the DPL program and one
+/// PlannedLoop per loop, in final (post-unification) names. A buffered
+/// reduction goes Direct when provably race-free, else takes private
+/// sub-partitions where an external hint or Theorem 5.1 applies.
+void synthesize(std::vector<LoopState>& loops, const Resolution& res,
+                const std::vector<System>& externals,
+                const std::set<std::string>& rangeFns,
+                bool enablePrivateSubPartitions, ParallelPlan& out) {
+  auto finalName = [&res](const std::string& sym) {
+    return constraint::followRenames(res.renames, sym);
+  };
+  const constraint::Solution& sol = res.solution;
   dpl::Program prog = sol.program();
   constraint::Entailment ent(sol.resolved, rangeFns);
   auto assignedExpr = [&](const std::string& sym) -> ExprPtr {
@@ -737,8 +643,7 @@ ParallelPlan AutoParallelizer::plan(const ir::Program& program) {
     // reduces into one field may go direct only if they all use the same
     // provably disjoint partition — and the iteration partition is
     // disjoint too, so no duplicated iteration applies a reduce twice.
-    const bool iterDisjoint =
-        ent.proveDisj(assignedExpr(pl.iterPartition));
+    const bool iterDisjoint = ent.proveDisj(assignedExpr(pl.iterPartition));
     std::map<std::pair<std::string, std::string>, std::vector<ReducePlan*>>
         byField;
     for (ReducePlan& rp : st.reduction.reduces) {
@@ -771,7 +676,7 @@ ParallelPlan AutoParallelizer::plan(const ir::Program& program) {
     // constraints assert preimage(R_iter, f, FIX) <= P_iter and P_iter is
     // disjoint — every side pointing into FIX[j] is then owned by task j.
     auto externalPrivate = [&](const std::string& fn) -> std::string {
-      for (const System& ext : externals_) {
+      for (const System& ext : externals) {
         for (const constraint::Subset& sc : ext.subsets()) {
           if (sc.lhs->kind == ExprKind::Preimage && sc.lhs->fn == fn &&
               sc.lhs->region == st.loop->iterRegion &&
@@ -785,11 +690,8 @@ ParallelPlan AutoParallelizer::plan(const ir::Program& program) {
       return "";
     };
 
-    if (options_.enablePrivateSubPartitions) {
-      const ExprPtr iterExpr = assignedExpr(pl.iterPartition);
-      const bool iterDisjoint = ent.proveDisj(iterExpr);
+    if (enablePrivateSubPartitions && iterDisjoint) {
       for (auto& [regionName, plans] : byRegion) {
-        if (!iterDisjoint) continue;
         // First preference: user-provided private sub-partitions for every
         // reduction in the group (Section 6.5, Hint2).
         bool allExternal = true;
@@ -857,30 +759,134 @@ ParallelPlan AutoParallelizer::plan(const ir::Program& program) {
     for (const ReducePlan& rp : st.reduction.reduces) {
       pl.reduces[rp.stmtId] = rp;
     }
-    result.loops.push_back(std::move(pl));
+    out.loops.push_back(std::move(pl));
   }
 
-  result.dpl = prog.withCse();
-  result.system = sol.resolved;
-  result.externalSymbols = std::move(fixedSymbols);
-  result.vocab = vocab;
-  result.solverVocab = std::move(svocab);
-  if (wantProof) {
-    // Close the certificate with the plan section: the final DPL program
-    // and the runtime verifier's expectations, so the checker can evaluate
-    // the model end-to-end and cross-validate against region/verify.
-    for (const dpl::Stmt& s : result.dpl.stmts()) {
-      proofLog.planStmt(s.lhs, s.rhs);
-    }
-    for (const region::PartitionExpectation& e :
-         planExpectations(result, options_.pieces)) {
-      proofLog.expectation(expectationTokens(e));
-    }
-    writeProofFile(options_.proofFile, proofLog.finish());
-    result.stats.proofEvents = proofLog.events();
-    result.stats.proofBytes = proofLog.bytes();
+  out.dpl = prog.withCse();
+  out.system = sol.resolved;
+  out.externalSymbols = res.fixedSymbols;
+}
+
+/// Closes a proof certificate with the plan section — the final DPL program
+/// and the runtime verifier's expectations, so the checker can evaluate the
+/// model end to end and cross-validate against region/verify — and writes
+/// it.
+void finishProof(constraint::ProofLog& proof, ParallelPlan& plan,
+                 const Options& options) {
+  for (const dpl::Stmt& s : plan.dpl.stmts()) proof.planStmt(s.lhs, s.rhs);
+  for (const region::PartitionExpectation& e :
+       planExpectations(plan, options.pieces)) {
+    proof.expectation(expectationTokens(e));
   }
-  result.stats.rewriteMs = timer.millis();
+  writeProofFile(options.proofFile, proof.finish());
+  plan.stats.proofEvents = proof.events();
+  plan.stats.proofBytes = proof.bytes();
+}
+
+}  // namespace
+
+AutoParallelizer::AutoParallelizer(const region::World& world, Options options)
+    : world_(world), options_(options) {}
+
+void AutoParallelizer::addExternalConstraint(const System& external) {
+  System marked;
+  marked.merge(external, /*assumed=*/true);
+  externals_.push_back(std::move(marked));
+}
+
+std::set<std::string> AutoParallelizer::rangeFnIds() const {
+  std::set<std::string> out;
+  for (const std::string& id : world_.fnIds()) {
+    if (world_.fn(id).isRangeValued()) out.insert(id);
+  }
+  return out;
+}
+
+ParallelPlan AutoParallelizer::plan(const ir::Program& program) {
+  ParallelPlan result;
+  // The plan keeps its own copy of the program: PlannedLoop::loop points at
+  // these loops, so the plan must not dangle when the caller's program is a
+  // temporary (or is destroyed before the plan is executed).
+  result.program = std::make_shared<const ir::Program>(program);
+  result.vocab = options_.vocab;
+  CompileStats& stats = result.stats;
+  const std::set<std::string> rangeFns = rangeFnIds();
+  const bool wantProof = !options_.proofFile.empty();
+  // Constrained and proof-emitting compiles bypass the cache in both
+  // directions: rebinding a cached solve under renamed symbols cannot
+  // preserve vocabulary semantics (which bind to concrete names), and a
+  // certificate must describe an actual solve, not a rebound one. Without a
+  // cache to consult, the key has no consumer and is never computed.
+  SolveCache* const cache =
+      options_.vocab.empty() && !wantProof ? options_.solveCache : nullptr;
+
+  std::vector<LoopState> loops;
+  {
+    Phase phase(tracer_, "phase.infer", stats.inferMs);
+    if (!options_.vocab.empty()) {
+      DPART_CHECK(options_.engine == constraint::SolverEngine::Propagation,
+                  "the syntax-directed engine does not support external "
+                  "vocabularies");
+      const std::string problem =
+          vocabularyProblem(options_.vocab, world_, options_.pieces);
+      DPART_CHECK(problem.empty(), problem);
+    }
+    loops = infer(world_, *result.program);
+  }
+  stats.parallelLoops = static_cast<int>(loops.size());
+  {
+    // Table 1 bills the relaxation analysis as part of "solve".
+    Phase phase(tracer_, "phase.relax", stats.solveMs);
+    relax(loops, options_.enableRelaxation);
+  }
+
+  constraint::CanonicalForm key;
+  std::shared_ptr<const SolveCacheEntry> cached;
+  if (cache != nullptr) {
+    Phase phase(tracer_, "phase.canon", stats.canonMs);
+    key = canonicalKey(loops, externals_, rangeFns, options_);
+    stats.cacheKey = key.hash;
+    cached = cache->find(key.hash, key.rendering);
+  }
+
+  constraint::ProofLog proofLog;
+  Resolution resolution;
+  if (cached) {
+    // The rendering matched, so key.toCanonical is an isomorphism onto the
+    // systems the entry was solved for: mapping the entry back through its
+    // inverse yields exactly the resolution a fresh solve of *this* program
+    // would produce (solver determinism + symmetry).
+    Phase phase(tracer_, "phase.solve", stats.solveMs);
+    resolution = cached->solved.mapped(key.toCanonical.inverted());
+    stats.cacheHit = true;
+  } else {
+    constraint::UnifyResult unified;
+    {
+      Phase phase(tracer_, "phase.unify", stats.unifyMs);
+      unified = unify(loops, externals_, rangeFns, options_.enableUnification);
+    }
+    Phase phase(tracer_, "phase.solve", stats.solveMs);
+    result.solverVocab = translateVocabulary(options_.vocab, unified, loops);
+    resolution = solve(std::move(unified), loops, result.solverVocab,
+                       rangeFns, world_, options_,
+                       wantProof ? &proofLog : nullptr);
+    stats.solve = resolution.solution.stats;
+    if (cache != nullptr) {
+      // Stored in canonical names, so any isomorphic program (from any
+      // tenant) can rebind it.
+      auto entry = std::make_shared<SolveCacheEntry>();
+      entry->rendering = key.rendering;
+      entry->solved = resolution.mapped(key.toCanonical);
+      cache->insert(key.hash, std::move(entry));
+    }
+  }
+
+  {
+    Phase phase(tracer_, "phase.synthesize", stats.rewriteMs);
+    synthesize(loops, resolution, externals_, rangeFns,
+               options_.enablePrivateSubPartitions, result);
+    if (wantProof) finishProof(proofLog, result, options_);
+  }
   return result;
 }
 

@@ -46,9 +46,9 @@ struct Options {
   /// rebound into this program's names. nullptr disables caching.
   /// Vocabulary-constrained and proof-emitting compiles bypass the cache:
   /// their solutions depend on concrete region names and sizes, which
-  /// canonical isomorphism deliberately abstracts away. The vocabulary is
-  /// still folded into the canonical key (canonicalize extraKey) so such
-  /// compiles never collide with unconstrained ones.
+  /// canonical isomorphism deliberately abstracts away. Only a compile that
+  /// consults the cache computes the canonical key (CompileStats::cacheKey);
+  /// every other compile skips that stage.
   SolveCache* solveCache = nullptr;
   /// External-constraint vocabulary (capacity / co-location / anti-affinity
   /// / replication); enforced by the propagation engine, checked at runtime
@@ -69,17 +69,23 @@ struct Options {
 };
 
 /// Timing breakdown of one auto-parallelization run (paper Table 1 rows).
-/// The same breakdown is recorded as "compile"-category trace spans
-/// (phase.infer / phase.relax / phase.unify / phase.solve /
-/// phase.synthesize) when a tracer is installed.
+/// Each field is the wall time of the "compile"-category trace spans named
+/// beside it, which bracket the same code when a tracer is installed.
 struct CompileStats {
-  double inferMs = 0;
-  double canonMs = 0;   // canonical cache-key construction
-  double unifyMs = 0;   // Algorithm 3 symbol unification
-  double solveMs = 0;   // relaxation analysis + constraint resolution
-  double rewriteMs = 0; // plan construction (the "code rewrite" stage)
+  double inferMs = 0;   // phase.infer: vocabulary checks + Algorithm 1
+  /// phase.canon: canonical cache-key construction and the SolveCache
+  /// lookup; 0 when the compile does not consult a cache.
+  double canonMs = 0;
+  double unifyMs = 0;   // phase.unify: Algorithm 3 symbol unification
+  /// phase.relax + phase.solve: relaxation analysis, vocabulary translation
+  /// and constraint resolution with its cache insert — or, on a cache hit,
+  /// the rebind of the cached solve.
+  double solveMs = 0;
+  double rewriteMs = 0; // phase.synthesize: plan construction ("rewrite")
   int parallelLoops = 0;
-  /// Canonical constraint-graph hash of this compile (the plan-cache key).
+  /// Canonical constraint-graph hash of this compile (the SolveCache key);
+  /// 0 when the compile does not consult a cache — none attached, a
+  /// vocabulary, or a proof request.
   std::uint64_t cacheKey = 0;
   /// True when collapse+unify+solve was served from Options::solveCache.
   bool cacheHit = false;
@@ -137,6 +143,16 @@ struct ParallelPlan {
 [[nodiscard]] std::vector<region::PartitionExpectation> planExpectations(
     const ParallelPlan& plan, std::size_t pieces);
 
+/// The first shape problem of `vocab` against `world` and the piece count —
+/// an unknown region, a zero capacity, a negative or inverted replication
+/// bound, an affinity field not of the form "region.field", or capacity /
+/// replication bounds without `pieces` — or "" when it is well-formed.
+/// Shape problems are the caller's fault (the plan service answers them
+/// with BadRequest); infeasibility is only ever decided by the solver.
+[[nodiscard]] std::string vocabularyProblem(
+    const constraint::Vocabulary& vocab, const region::World& world,
+    std::size_t pieces);
+
 /// Resolves the solver-synthesized `equal` base partition behind a loop's
 /// iteration partition: follows alias statements (`P = Q`) in the plan's DPL
 /// program from `loop.iterPartition` and, when the chain ends at a statement
@@ -163,7 +179,10 @@ class AutoParallelizer {
   /// conjuncts become assumed hypotheses and all symbols become fixed.
   void addExternalConstraint(const constraint::System& external);
 
-  /// Runs the full pipeline on a program of parallelizable loops.
+  /// Runs the full pipeline on a program of parallelizable loops, one stage
+  /// after another: infer -> relax -> key (only when a SolveCache is
+  /// consulted) -> resolve (unify + solve, or a cache rebind) ->
+  /// synthesize.
   [[nodiscard]] ParallelPlan plan(const ir::Program& program);
 
   /// Records one "compile"-category span per pipeline phase into `tracer`

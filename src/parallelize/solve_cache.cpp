@@ -4,6 +4,26 @@
 
 namespace dpart::parallelize {
 
+Resolution Resolution::mapped(const constraint::NameMaps& m) const {
+  Resolution out;
+  for (const auto& [from, to] : renames) {
+    out.renames[m.symbol(from)] = m.symbol(to);
+  }
+  out.solution.ok = solution.ok;
+  for (const auto& [sym, expr] : solution.assignments) {
+    out.solution.assignments[m.symbol(sym)] = constraint::mapExpr(expr, m);
+  }
+  out.solution.order.reserve(solution.order.size());
+  for (const std::string& sym : solution.order) {
+    out.solution.order.push_back(m.symbol(sym));
+  }
+  out.solution.resolved = constraint::mapSystem(solution.resolved, m);
+  for (const std::string& sym : fixedSymbols) {
+    out.fixedSymbols.insert(m.symbol(sym));
+  }
+  return out;
+}
+
 SolveCache::SolveCache(std::size_t capacity) : capacity_(capacity) {
   DPART_CHECK(capacity_ > 0, "SolveCache capacity must be positive");
 }

@@ -7,34 +7,41 @@
 #include <mutex>
 #include <set>
 #include <string>
-#include <vector>
 
 #include "constraint/canonical.hpp"
 #include "constraint/solver.hpp"
 
 namespace dpart::parallelize {
 
-/// One cached collapse+unify+solve result, stored entirely in canonical
-/// names (constraint::canonicalize): the Algorithm 3 renames, the Algorithm 2
-/// solution, and the set of fixed (externally bound) symbols of the unified
-/// system. A requester rebinds the entry into its own names through the
-/// inverse of its canonical NameMaps — valid whenever its rendering matches
-/// the entry's, because a matching rendering proves the requester's labeling
-/// is an isomorphism onto the cached systems.
+/// One collapse+unify+solve result: what the resolve stage of
+/// AutoParallelizer::plan hands to plan synthesis, whether it was solved
+/// fresh or rebound from a SolveCacheEntry.
+struct Resolution {
+  /// Symbol renames performed by edge collapsing + unification (follow them
+  /// with constraint::followRenames).
+  std::map<std::string, std::string> renames;
+  /// The Algorithm 2 solution: assignments, order and resolved system.
+  constraint::Solution solution;
+  /// Fixed symbols of the unified system (-> ParallelPlan::externalSymbols).
+  std::set<std::string> fixedSymbols;
+
+  /// The same result with every name mapped through `m`: into canonical
+  /// names before a cache insert, back into a requester's names on a hit.
+  /// Solver statistics and failure details are not carried over.
+  [[nodiscard]] Resolution mapped(const constraint::NameMaps& m) const;
+};
+
+/// One cached Resolution, stored entirely in canonical names
+/// (constraint::canonicalize). A requester rebinds it into its own names
+/// through the inverse of its canonical NameMaps — valid whenever its
+/// rendering matches the entry's, because a matching rendering proves the
+/// requester's labeling is an isomorphism onto the cached systems.
 struct SolveCacheEntry {
   /// Canonical rendering of the systems this entry was solved for. Compared
   /// byte-for-byte on lookup so a 64-bit hash collision between structurally
   /// distinct programs degrades to a cache miss, never a wrong plan.
   std::string rendering;
-  /// Symbol renames performed by edge collapsing + unification
-  /// (canonical -> canonical; follow transitively like ParallelPlan does).
-  std::map<std::string, std::string> renames;
-  /// Solution::assignments / Solution::order / Solution::resolved.
-  std::map<std::string, dpl::ExprPtr> assignments;
-  std::vector<std::string> order;
-  constraint::System resolved;
-  /// Fixed symbols of the unified system (-> ParallelPlan::externalSymbols).
-  std::set<std::string> fixedSymbols;
+  Resolution solved;
 };
 
 /// Thread-safe LRU cache keyed on the canonical constraint-graph hash.

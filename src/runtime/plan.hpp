@@ -46,6 +46,8 @@ class Plan {
 
   /// The unification-canonical constraint-graph hash (CompileStats::cacheKey)
   /// — equal for isomorphic programs, the solve-cache / plan-service key.
+  /// 0 unless the compile consulted a SolveCache (compileOptions with
+  /// Options::solveCache, no vocabulary, no proof request).
   [[nodiscard]] std::uint64_t cacheKey() const;
 
   /// Whether this compile skipped collapse+unify+solve via the solve cache.

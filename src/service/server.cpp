@@ -427,32 +427,9 @@ void PlanServer::handleRequest(int fd,
     // Vocabulary *shape* errors are the client's fault (BadRequest);
     // *infeasibility* is only ever decided by the solver and travels as its
     // own stable code (ErrorCode::Infeasible).
-    for (const constraint::CapacityBound& cb : req.vocab.capacities) {
-      if (!world.hasRegion(cb.region)) {
-        throw BadRequest("capacity bound names unknown region '" +
-                         cb.region + "'");
-      }
-      if (cb.maxPerPiece == 0) {
-        throw BadRequest("capacity bound on '" + cb.region +
-                         "' must be positive");
-      }
-    }
-    for (const constraint::ReplicationBound& rb : req.vocab.replications) {
-      if (!world.hasRegion(rb.region)) {
-        throw BadRequest("replication bound names unknown region '" +
-                         rb.region + "'");
-      }
-    }
-    for (const constraint::FieldAffinity& fa : req.vocab.affinities) {
-      for (const std::string& f : {fa.fieldA, fa.fieldB}) {
-        const auto dot = f.find('.');
-        if (dot == std::string::npos || dot == 0 || dot + 1 >= f.size() ||
-            !world.hasRegion(f.substr(0, dot))) {
-          throw BadRequest("affinity field '" + f +
-                           "' must name an existing 'region.field'");
-        }
-      }
-    }
+    const std::string problem = parallelize::vocabularyProblem(
+        req.vocab, world, static_cast<std::size_t>(req.pieces));
+    if (!problem.empty()) throw BadRequest(problem);
 
     parallelize::Options copts;
     copts.enableRelaxation = req.enableRelaxation;

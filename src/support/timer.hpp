@@ -15,15 +15,12 @@ class Timer {
  public:
   Timer() : start_(Clock::now()) {}
 
-  /// Restarts the stopwatch.
-  void reset() { start_ = Clock::now(); }
-
-  /// Elapsed seconds since construction or the last reset().
+  /// Elapsed seconds since construction.
   [[nodiscard]] double seconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  /// Elapsed milliseconds since construction or the last reset().
+  /// Elapsed milliseconds since construction.
   [[nodiscard]] double millis() const { return seconds() * 1e3; }
 
  private:

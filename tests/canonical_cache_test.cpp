@@ -5,7 +5,9 @@
 //    rendering, and the second compile is served from the cache;
 //  - structurally distinct programs produce different keys;
 //  - a cache-served plan is bitwise-identical to a fresh solve, on a
-//    hand-built program and on all five Fig. 14 apps.
+//    hand-built program and on all five Fig. 14 apps, and both match the
+//    plan hash and cache key recorded before the compile pipeline was
+//    split into stages (golden values).
 
 #include <gtest/gtest.h>
 
@@ -21,6 +23,7 @@
 #include "constraint/canonical.hpp"
 #include "parallelize/parallelize.hpp"
 #include "parallelize/solve_cache.hpp"
+#include "runtime/checkpoint.hpp"
 
 namespace dpart {
 namespace {
@@ -323,6 +326,35 @@ TEST(SolveCacheTest, OptionsArePartOfTheKey) {
   EXPECT_FALSE(p2.stats.cacheHit);
 }
 
+// Vocabulary and proof compiles bypass the cache, so they neither compute
+// the canonical key nor touch the cache's counters.
+TEST(SolveCacheTest, VocabularyAndProofCompilesNeverTouchTheCache) {
+  SolveCache cache;
+  parallelize::Options warm;
+  warm.solveCache = &cache;
+  region::World world;
+  buildWorld(world, kNamesA);
+  (void)AutoParallelizer(world, warm).plan(figureProgram(kNamesA, false));
+  const SolveCache::Stats before = cache.stats();
+
+  parallelize::Options constrained = warm;
+  constrained.vocab.capacities.push_back({kNamesA.cells, 100});
+  constrained.pieces = 4;
+  parallelize::Options proving = warm;
+  proving.proofFile = ::testing::TempDir() + "cache_bypass.dprf";
+  for (const parallelize::Options& opts : {constrained, proving}) {
+    const ParallelPlan plan =
+        AutoParallelizer(world, opts).plan(figureProgram(kNamesA, false));
+    EXPECT_FALSE(plan.stats.cacheHit);
+    EXPECT_EQ(plan.stats.cacheKey, 0u);
+    EXPECT_EQ(plan.stats.canonMs, 0.0);
+  }
+  const SolveCache::Stats after = cache.stats();
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.entries, before.entries);
+}
+
 TEST(SolveCacheTest, LruEvictionBoundsEntries) {
   SolveCache cache(1);
   parallelize::Options opts;
@@ -348,8 +380,16 @@ TEST(SolveCacheTest, LruEvictionBoundsEntries) {
 // All five Fig. 14 apps: cache-served == fresh, bit for bit
 // ---------------------------------------------------------------------------
 
+// A plan pinned by value: FNV-1a-64 of ParallelPlan::toString() and the
+// canonical cache key of a compile with a SolveCache attached.
+struct Golden {
+  std::uint64_t planHash;
+  std::uint64_t cacheKey;
+};
+
 void expectCachedPlanIdentical(region::World& world,
-                               const ir::Program& program) {
+                               const ir::Program& program,
+                               const Golden& golden) {
   SolveCache cache;
   parallelize::Options opts;
   opts.solveCache = &cache;
@@ -357,6 +397,9 @@ void expectCachedPlanIdentical(region::World& world,
   AutoParallelizer cold(world, opts);
   ParallelPlan fresh = cold.plan(program);
   EXPECT_FALSE(fresh.stats.cacheHit);
+  EXPECT_EQ(runtime::CheckpointManager::hashPlan(fresh), golden.planHash)
+      << fresh.toString();
+  EXPECT_EQ(fresh.stats.cacheKey, golden.cacheKey);
 
   AutoParallelizer warm(world, opts);
   ParallelPlan served = warm.plan(program);
@@ -367,28 +410,33 @@ void expectCachedPlanIdentical(region::World& world,
 
 TEST(SolveCacheFig14, Spmv) {
   apps::SpmvApp app({.rowsPerPiece = 64, .nnzPerRow = 3, .pieces = 4});
-  expectCachedPlanIdentical(app.world(), app.program());
+  expectCachedPlanIdentical(app.world(), app.program(),
+                            {0x084c14d873b178f0ULL, 0x99a97d6bf2eec50bULL});
 }
 
 TEST(SolveCacheFig14, Stencil) {
   apps::StencilApp app({.rowsPerPiece = 8, .cols = 8, .pieces = 4});
-  expectCachedPlanIdentical(app.world(), app.program());
+  expectCachedPlanIdentical(app.world(), app.program(),
+                            {0xac13704b8ea45a10ULL, 0x67f2064efd34fb96ULL});
 }
 
 TEST(SolveCacheFig14, MiniAero) {
   apps::MiniAeroApp app({.nx = 4, .ny = 4, .nzPerPiece = 4, .pieces = 4});
-  expectCachedPlanIdentical(app.world(), app.program());
+  expectCachedPlanIdentical(app.world(), app.program(),
+                            {0xfe4d069d445448e0ULL, 0xdf5950ff5ea29f37ULL});
 }
 
 TEST(SolveCacheFig14, Circuit) {
   apps::CircuitApp app({.pieces = 4, .nodesPerCluster = 32,
                         .wiresPerCluster = 64});
-  expectCachedPlanIdentical(app.world(), app.program());
+  expectCachedPlanIdentical(app.world(), app.program(),
+                            {0x4922fa57bba6523bULL, 0x9a0e5c5156b773bdULL});
 }
 
 TEST(SolveCacheFig14, Pennant) {
   apps::PennantApp app({.zx = 4, .zyPerPiece = 4, .pieces = 4});
-  expectCachedPlanIdentical(app.world(), app.program());
+  expectCachedPlanIdentical(app.world(), app.program(),
+                            {0xd6fe56d165b2a9b2ULL, 0x87e021349113fae0ULL});
 }
 
 }  // namespace

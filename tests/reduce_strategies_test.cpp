@@ -61,6 +61,24 @@ struct Config {
   ReduceStrategy expected;
 };
 
+// gtest names each case after a byte dump of its Config, padding included.
+// A static table is zero-initialized, padding too, so the names are the same
+// in every build; temporaries built on the stack would carry stack garbage.
+constexpr Config kConfigs[] = {
+    // Single reduction, relaxable loop -> Guarded.
+    {ir::ReduceOp::Sum, false, false, ReduceStrategy::Guarded},
+    {ir::ReduceOp::Min, false, false, ReduceStrategy::Guarded},
+    {ir::ReduceOp::Max, false, false, ReduceStrategy::Guarded},
+    // Single reduction, relaxation blocked -> Direct (disjointified).
+    {ir::ReduceOp::Sum, true, false, ReduceStrategy::Direct},
+    {ir::ReduceOp::Max, true, false, ReduceStrategy::Direct},
+    // Two reductions, relaxable -> Guarded on both.
+    {ir::ReduceOp::Sum, false, true, ReduceStrategy::Guarded},
+    // Two reductions, blocked -> PrivateSplit (Theorem 5.1).
+    {ir::ReduceOp::Sum, true, true, ReduceStrategy::PrivateSplit},
+    {ir::ReduceOp::Min, true, true, ReduceStrategy::PrivateSplit},
+};
+
 class ReduceStrategyTest : public ::testing::TestWithParam<Config> {};
 
 TEST_P(ReduceStrategyTest, MatchesSerialUnderEveryStrategy) {
@@ -94,22 +112,8 @@ TEST_P(ReduceStrategyTest, MatchesSerialUnderEveryStrategy) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllStrategies, ReduceStrategyTest,
-    ::testing::Values(
-        // Single reduction, relaxable loop -> Guarded.
-        Config{ir::ReduceOp::Sum, false, false, ReduceStrategy::Guarded},
-        Config{ir::ReduceOp::Min, false, false, ReduceStrategy::Guarded},
-        Config{ir::ReduceOp::Max, false, false, ReduceStrategy::Guarded},
-        // Single reduction, relaxation blocked -> Direct (disjointified).
-        Config{ir::ReduceOp::Sum, true, false, ReduceStrategy::Direct},
-        Config{ir::ReduceOp::Max, true, false, ReduceStrategy::Direct},
-        // Two reductions, relaxable -> Guarded on both.
-        Config{ir::ReduceOp::Sum, false, true, ReduceStrategy::Guarded},
-        // Two reductions, blocked -> PrivateSplit (Theorem 5.1).
-        Config{ir::ReduceOp::Sum, true, true, ReduceStrategy::PrivateSplit},
-        Config{ir::ReduceOp::Min, true, true,
-               ReduceStrategy::PrivateSplit}));
+INSTANTIATE_TEST_SUITE_P(AllStrategies, ReduceStrategyTest,
+                         ::testing::ValuesIn(kConfigs));
 
 TEST(ReduceStrategies, BufferedFallbackWithoutOptimizations) {
   // With every Section 5 optimization disabled, uncentered reductions fall

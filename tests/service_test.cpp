@@ -125,11 +125,22 @@ TEST(ServiceProtocol, RequestSurvivesTheWire) {
             req.program.loops[0].body.size());
 }
 
+// Compiles `prog` against `world` with a fresh SolveCache attached, so the
+// plan carries its canonical cache key (a compile without a cache to
+// consult never computes one).
+Plan compileKeyed(const ir::Program& prog, region::World& world) {
+  parallelize::SolveCache cache;
+  parallelize::Options copts;
+  copts.solveCache = &cache;
+  return Session::parallelize(prog).pieces(4).compileOptions(copts).compile(
+      world);
+}
+
 TEST(ServiceProtocol, MaterializedShapeCompilesLikeTheOriginal) {
   region::World world;
   buildWorld(world);
   const ir::Program prog = makeProgram();
-  const Plan local = Session::parallelize(prog).pieces(4).compile(world);
+  const Plan local = compileKeyed(prog, world);
 
   // describe -> encode -> decode -> materialize, then compile the decoded
   // program (placeholder closures) against the placeholder world: the
@@ -139,9 +150,9 @@ TEST(ServiceProtocol, MaterializedShapeCompilesLikeTheOriginal) {
   BinaryReader r(bytes);
   const PlanRequest got = decodeRequest(r);
   region::World shaped = got.world.materialize(region::Index(1) << 20);
-  const Plan remote =
-      Session::parallelize(got.program).pieces(4).compile(shaped);
+  const Plan remote = compileKeyed(got.program, shaped);
 
+  EXPECT_NE(local.cacheKey(), 0u);
   EXPECT_EQ(local.cacheKey(), remote.cacheKey());
   EXPECT_EQ(local.parallelPlan().dpl.toString(),
             remote.parallelPlan().dpl.toString());
@@ -172,7 +183,7 @@ TEST(ServiceProtocol, VocabularySurvivesTheWire) {
   EXPECT_EQ(got.vocab.replications[0].region, "Cells");
   EXPECT_DOUBLE_EQ(got.vocab.replications[0].minFactor, 0.5);
   EXPECT_DOUBLE_EQ(got.vocab.replications[0].maxFactor, 3.0);
-  EXPECT_EQ(got.vocab.rendered(), req.vocab.rendered());
+  EXPECT_EQ(got.vocab, req.vocab);
 }
 
 TEST(ServiceProtocol, SolveCountersSurviveTheWire) {
@@ -233,13 +244,14 @@ TEST(ServiceServer, ServesAPlanThatMatchesLocalCompile) {
   region::World world;
   buildWorld(world);
   const ir::Program prog = makeProgram();
-  const Plan local = Session::parallelize(prog).pieces(4).compile(world);
+  const Plan local = compileKeyed(prog, world);
 
   ServerFixture fx;
   PlanClient client = PlanClient::connectTcp(fx.server.port());
   const PlanResponse resp =
       client.parallelize(makeRequest("acme", world, prog));
 
+  EXPECT_NE(local.cacheKey(), 0u);
   EXPECT_EQ(resp.cacheKey, local.cacheKey());
   EXPECT_FALSE(resp.cacheHit);
   EXPECT_EQ(resp.dpl, local.parallelPlan().dpl.toString());
@@ -486,10 +498,17 @@ TEST(ServiceServer, InfeasibleVocabularyTravelsAsItsOwnCode) {
               std::string::npos);
   }
 
-  // A malformed vocabulary on the same connection is BadRequest instead.
+  // A malformed vocabulary on the same connection is BadRequest instead,
+  // whichever shape check it fails.
   PlanRequest bad = makeRequest("acme", world, makeProgram());
   bad.vocab.affinities.push_back({"NoSuchRegion.f", "Cells.vel", true});
   EXPECT_THROW((void)client.parallelize(bad), BadRequest);
+  PlanRequest inverted = makeRequest("acme", world, makeProgram());
+  inverted.vocab.replications.push_back({"Particles", 2.0, 1.0});
+  EXPECT_THROW((void)client.parallelize(inverted), BadRequest);
+  PlanRequest negative = makeRequest("acme", world, makeProgram());
+  negative.vocab.replications.push_back({"Particles", -0.5, 0.0});
+  EXPECT_THROW((void)client.parallelize(negative), BadRequest);
 
   // The connection survives both failures.
   const PlanResponse ok =
@@ -506,7 +525,11 @@ TEST(ServiceServer, FeasibleVocabularyCompilesAndReportsCounters) {
   PlanRequest req = makeRequest("acme", world, makeProgram());
   req.vocab.capacities.push_back({"Particles", 100});  // exactly 400/4
   const PlanResponse resp = client.parallelize(req);
-  EXPECT_FALSE(resp.cacheHit);  // vocab compiles bypass the solve cache
+  // Vocabulary compiles bypass the solve cache, so they compute no key.
+  EXPECT_FALSE(resp.cacheHit);
+  EXPECT_EQ(resp.cacheKey, 0u);
+  EXPECT_EQ(resp.canonMs, 0.0);
+  EXPECT_EQ(fx.server.cacheStats().misses, 0u);
   EXPECT_NE(resp.dpl, "");
   EXPECT_GT(resp.propagations, 0u);
 

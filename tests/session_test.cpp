@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <filesystem>
@@ -10,6 +11,7 @@
 #include <string>
 
 #include "ir/interp.hpp"
+#include "parallelize/solve_cache.hpp"
 #include "support/fault.hpp"
 #include "support/json.hpp"
 
@@ -176,6 +178,48 @@ TEST(Session, TraceCoversEveryLayer) {
 
   // And the whole document is valid Chrome trace JSON.
   EXPECT_NO_THROW(json::parse(session.tracer()->toChromeJson()));
+
+  // Each CompileStats field and its span(s) bracket the same code.
+  auto expectBrackets = [](double spanMs, double statMs, const char* phase) {
+    EXPECT_NEAR(spanMs, statMs, std::max(0.05, 0.02 * statMs)) << phase;
+  };
+  const parallelize::CompileStats& st = session.stats();
+  expectBrackets(totals.at("phase.infer"), st.inferMs, "infer");
+  expectBrackets(totals.at("phase.unify"), st.unifyMs, "unify");
+  expectBrackets(totals.at("phase.relax") + totals.at("phase.solve"),
+                 st.solveMs, "relax + solve");
+  expectBrackets(totals.at("phase.synthesize"), st.rewriteMs, "synthesize");
+
+  // No SolveCache attached: the key stage never runs.
+  EXPECT_FALSE(names.contains("phase.canon"));
+  EXPECT_EQ(st.canonMs, 0.0);
+  EXPECT_EQ(st.cacheKey, 0u);
+
+  // Against a warm SolveCache the key stage runs and the rebind replaces
+  // unify + solve: phase.canon and phase.solve, but no phase.unify.
+  parallelize::SolveCache cache;
+  parallelize::Options copts;
+  copts.solveCache = &cache;
+  (void)Session::parallelize(makeProgram())
+      .pieces(4)
+      .compileOptions(copts)
+      .compile(world);
+  Tracer tracer;
+  tracer.enable();
+  const Plan warm = Session::parallelize(makeProgram())
+                        .pieces(4)
+                        .compileOptions(copts)
+                        .compile(world, &tracer);
+  ASSERT_TRUE(warm.cacheHit());
+  EXPECT_NE(warm.cacheKey(), 0u);
+  const std::set<std::string> warmNames = spanNames(tracer);
+  EXPECT_TRUE(warmNames.contains("phase.canon"));
+  EXPECT_TRUE(warmNames.contains("phase.solve"));
+  EXPECT_FALSE(warmNames.contains("phase.unify"));
+  const auto warmTotals = tracer.spanTotalsMs();
+  expectBrackets(warmTotals.at("phase.canon"), warm.stats().canonMs, "canon");
+  expectBrackets(warmTotals.at("phase.relax") + warmTotals.at("phase.solve"),
+                 warm.stats().solveMs, "relax + rebind");
 }
 
 TEST(Session, MetricsPublishCompileAndExecutorGauges) {
