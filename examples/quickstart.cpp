@@ -90,9 +90,13 @@ int main(int argc, char** argv) {
 
   runtime::ExecOptions opts;
   opts.validateAccesses = true;  // check partition legality on every access
+  // With --trace, compile() and the session record into one timeline.
+  Tracer tracer;
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], "--trace") == 0) {
       opts.observability.traceFile = argv[i + 1];
+      opts.observability.tracer = &tracer;
+      tracer.enable();
     } else if (std::strcmp(argv[i], "--metrics") == 0) {
       opts.observability.metricsFile = argv[i + 1];
     }
@@ -103,7 +107,8 @@ int main(int argc, char** argv) {
   // the same artifact the plan service hands out — and Session::execute()
   // runs it without touching the compiler again. (The fluent
   // .run(world) one-liner is a thin wrapper over exactly these two calls.)
-  Plan plan = Session::parallelize(prog).pieces(8).compile(world);
+  Plan plan = Session::parallelize(prog).pieces(8).compile(
+      world, opts.observability.tracer);
   std::cout << "compile: cacheHit=" << plan.cacheHit()
             << " solveMs=" << plan.stats().solveMs << '\n';
 

@@ -96,15 +96,6 @@ parallelize::ParallelPlan ManualPlanBuilder::build() {
   return std::move(plan_);
 }
 
-double ScalingSeries::efficiencyAt(int nodes) const {
-  DPART_CHECK(!points.empty());
-  const double base = points.front().throughputPerNode;
-  for (const ScalingPoint& p : points) {
-    if (p.nodes == nodes) return p.throughputPerNode / base;
-  }
-  return points.back().throughputPerNode / base;
-}
-
 std::string renderScaling(const std::string& title,
                           const std::string& unitLabel,
                           const std::vector<ScalingSeries>& series) {

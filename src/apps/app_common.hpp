@@ -71,8 +71,6 @@ struct ScalingPoint {
 struct ScalingSeries {
   std::string name;
   std::vector<ScalingPoint> points;
-
-  [[nodiscard]] double efficiencyAt(int nodes) const;
 };
 
 /// Renders series as the per-figure table the benchmarks print.

@@ -54,11 +54,6 @@ class MiniAeroApp {
     return static_cast<double>(params_.nx * params_.ny * params_.nzPerPiece);
   }
 
-  /// The duplicated-face generator's per-piece face blocks (Manual mesh).
-  [[nodiscard]] const region::Partition& faceBlocks() const {
-    return faceBlocks_;
-  }
-
  private:
   Params params_;
   bool duplicated_;

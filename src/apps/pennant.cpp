@@ -47,7 +47,6 @@ void PennantApp::buildMesh() {
     sharedSubs[static_cast<std::size_t>(ownerPiece)] =
         sharedSubs[static_cast<std::size_t>(ownerPiece)].unionWith(b.build());
   }
-  sharedPoints_ = next;
   std::vector<IndexSet> privSubs;
   for (Index p = 0; p < pieces; ++p) {
     const Index lo = next;

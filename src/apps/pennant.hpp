@@ -42,7 +42,6 @@ class PennantApp {
   [[nodiscard]] const ir::Program& program() const { return program_; }
   [[nodiscard]] region::Index zones() const { return zones_; }
   [[nodiscard]] region::Index points() const { return points_; }
-  [[nodiscard]] region::Index sharedPoints() const { return sharedPoints_; }
 
   [[nodiscard]] SimSetup autoSetup();
   [[nodiscard]] SimSetup hint1Setup();
@@ -51,15 +50,6 @@ class PennantApp {
 
   [[nodiscard]] double workPerPiece() const {
     return static_cast<double>(params_.zx * params_.zyPerPiece);
-  }
-
-  [[nodiscard]] const region::Partition& rsP() const { return rsP_; }
-  [[nodiscard]] const region::Partition& rzP() const { return rzP_; }
-  [[nodiscard]] const region::Partition& ppPrivate() const {
-    return ppPrivate_;
-  }
-  [[nodiscard]] const region::Partition& ppShared() const {
-    return ppShared_;
   }
 
  private:
@@ -74,7 +64,6 @@ class PennantApp {
   region::Index zones_ = 0;
   region::Index sides_ = 0;
   region::Index points_ = 0;
-  region::Index sharedPoints_ = 0;
   region::Partition rsP_;
   region::Partition rzP_;
   region::Partition ppPrivate_;

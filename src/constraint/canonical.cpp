@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string_view>
 
 #include "support/check.hpp"
+#include "support/hash.hpp"
 
 namespace dpart::constraint {
 
@@ -13,27 +15,22 @@ namespace {
 // than included so the constraint layer keeps depending only on dpl.
 const std::string kIdentityFn = "f_ID";
 
-// --- 64-bit FNV-1a, the same primitive the Evaluator's memo cache uses. ---
+// --- 64-bit FNV-1a ----------------------------------------------------------
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+// One digit short of the standard offset basis (kFnv1aOffset). Cached keys
+// and the SolveCache goldens are pinned to it, so it stays as it is.
+constexpr std::uint64_t kCanonOffset = 1469598103934665603ULL;
 
-std::uint64_t fnv64(const std::string& s,
-                    std::uint64_t h = kFnvOffset) {
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= kFnvPrime;
-  }
-  return h;
-}
+std::uint64_t fnv64(std::string_view s) { return fnv1a64(s, kCanonOffset); }
 
 std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
-  // Feed each byte of v through FNV so mixing is order-sensitive.
+  // Feed each byte of v (low byte first) through FNV so mixing is
+  // order-sensitive.
+  char bytes[8];
   for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xff;
-    h *= kFnvPrime;
+    bytes[i] = static_cast<char>((v >> (i * 8)) & 0xff);
   }
-  return h;
+  return fnv1a64({bytes, sizeof bytes}, h);
 }
 
 // --- Graph nodes ------------------------------------------------------------

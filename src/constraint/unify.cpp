@@ -50,15 +50,14 @@ struct CandidateUnification {
   std::size_t edgeCount = 0;
 };
 
-// Builds candidate unifications between the node sets of graphs A (within
-// `combined`) and B. Nodes pair when their regions match and at most one is
-// fixed; identical symbols act as anchors (they connect product edges but
-// are not themselves unified). Connected components of the product graph are
-// the candidate common subgraphs.
+// Builds candidate unifications between the constraint graphs A and B, whose
+// symbols are looked up in `combined`. Nodes pair when their regions match
+// and at most one is fixed; identical symbols act as anchors (they connect
+// product edges but are not themselves unified). Connected components of
+// the product graph are the candidate common subgraphs.
 std::vector<CandidateUnification> commonSubgraphs(
     const System& combined, const std::vector<GraphEdge>& edgesA,
-    const std::vector<GraphEdge>& edgesB, const std::set<std::string>& nodesA,
-    const std::set<std::string>& nodesB) {
+    const std::vector<GraphEdge>& edgesB) {
   struct ProductNode {
     std::string a;
     std::string b;
@@ -107,8 +106,6 @@ std::vector<CandidateUnification> commonSubgraphs(
       productEdges.emplace_back(u, v);
     }
   }
-  (void)nodesA;
-  (void)nodesB;
 
   parent.resize(nodes.size());
   for (std::size_t i = 0; i < nodes.size(); ++i) parent[i] = i;
@@ -210,8 +207,7 @@ UnifyResult unifySystems(std::vector<System> systems,
       merged.merge(next);
       const auto edgesA = constraintGraph(combined);
       const auto edgesB = constraintGraph(next);
-      const auto candidates = commonSubgraphs(
-          merged, edgesA, edgesB, combined.symbols(), next.symbols());
+      const auto candidates = commonSubgraphs(merged, edgesA, edgesB);
       for (const CandidateUnification& cand : candidates) {
         std::map<std::string, dpl::ExprPtr> initial;
         std::vector<std::pair<std::string, std::string>> oriented;

@@ -91,13 +91,8 @@ class Evaluator {
   /// Memoization is on by default; turning it off makes every eval()
   /// recompute from scratch (used by the differential tests' reference).
   void setMemoize(bool on) { memoize_ = on; }
-  [[nodiscard]] bool memoize() const { return memoize_; }
 
   [[nodiscard]] const PerfCounters& counters() const { return counters_; }
-  void resetCounters() { counters_.reset(); }
-
-  /// The pool kernels run on; nullptr when evaluating serially.
-  [[nodiscard]] ThreadPool* pool() const { return pool_; }
 
   /// Installs a fault injector consulted at the per-operator sites
   /// "dpl:union", "dpl:intersect", "dpl:subtract", "dpl:image",

@@ -557,7 +557,6 @@ Resolution solve(constraint::UnifyResult unified,
   scfg.engine = options.engine;
   scfg.vocab = svocab;
   scfg.pieces = options.pieces;
-  scfg.search = options.search;
   for (const std::string& r : world.regionNames()) {
     scfg.regionSizes[r] = static_cast<std::size_t>(world.region(r).size());
   }

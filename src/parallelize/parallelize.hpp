@@ -60,8 +60,6 @@ struct Options {
   /// Which resolution engine runs (SyntaxDirected is the differential
   /// reference; it rejects non-empty vocabularies).
   constraint::SolverEngine engine = constraint::SolverEngine::Propagation;
-  /// Search heuristic / restart schedule for the propagation engine.
-  constraint::SearchOptions search;
   /// When non-empty, write a machine-checkable proof certificate of the
   /// solve (DPRF format, see docs/solver.md) to this path — on success and
   /// on infeasibility alike. tools/proof_check replays it.

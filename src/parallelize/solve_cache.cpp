@@ -69,10 +69,4 @@ SolveCache::Stats SolveCache::stats() const {
   return s;
 }
 
-void SolveCache::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  lru_.clear();
-  index_.clear();
-}
-
 }  // namespace dpart::parallelize

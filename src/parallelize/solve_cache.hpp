@@ -70,8 +70,6 @@ class SolveCache {
   };
   [[nodiscard]] Stats stats() const;
 
-  void clear();
-
  private:
   using LruList =
       std::list<std::pair<std::uint64_t, std::shared_ptr<const SolveCacheEntry>>>;

@@ -119,16 +119,6 @@ Run World::evalRange(const std::string& fnId, Index i) const {
   return region(f.domainRegion).range(f.field)[static_cast<std::size_t>(i)];
 }
 
-void World::evalPointRun(const std::string& fnId, Run in,
-                         std::span<Index> out) const {
-  BatchFn(*this, fn(fnId)).points(in, out);
-}
-
-void World::evalRangeRun(const std::string& fnId, Run in,
-                         std::span<Run> out) const {
-  BatchFn(*this, fn(fnId)).ranges(in, out);
-}
-
 BatchFn::BatchFn(const World& world, const FnDef& fn) : fn_(&fn) {
   switch (fn.kind) {
     case FnKind::FieldPtr:

@@ -89,14 +89,6 @@ class World {
   /// Evaluates a range-valued function at index i.
   [[nodiscard]] Run evalRange(const std::string& fnId, Index i) const;
 
-  /// Batch forms over a whole Run of inputs: out[i] = fn(in.lo + i).
-  /// One name lookup per call instead of one per element; see BatchFn for
-  /// the fully resolved form the operator kernels use.
-  void evalPointRun(const std::string& fnId, Run in,
-                    std::span<Index> out) const;
-  void evalRangeRun(const std::string& fnId, Run in,
-                    std::span<Run> out) const;
-
   /// Canonical id for a FieldPtr/FieldRange fn: "R[.].field".
   static std::string fieldFnId(const std::string& regionName,
                                const std::string& field);

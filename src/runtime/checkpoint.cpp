@@ -8,6 +8,7 @@
 
 #include "parallelize/parallelize.hpp"
 #include "region/snapshot.hpp"
+#include "support/hash.hpp"
 #include "support/serialize.hpp"
 
 namespace dpart::runtime {
@@ -188,12 +189,7 @@ CheckpointManager::Restored CheckpointManager::restoreLatest(
 }
 
 std::uint64_t CheckpointManager::hashPlan(const parallelize::ParallelPlan& plan) {
-  const std::string text = plan.toString();
-  std::uint64_t h = 14695981039346656037ULL;
-  for (char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
+  const std::uint64_t h = fnv1a64(plan.toString());
   return h == 0 ? 1 : h;  // 0 means "any plan" to restoreLatest
 }
 

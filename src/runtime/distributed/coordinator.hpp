@@ -78,9 +78,6 @@ class Coordinator {
   /// to call repeatedly; the destructor calls it.
   void shutdown();
 
-  /// Wire tallies since construction (the executor.net.* metrics source).
-  [[nodiscard]] const NetCounters& netCounters() const { return net_; }
-
   /// Pid of worker j, or -1 when not running. Tests use this to SIGSTOP /
   /// SIGKILL real worker processes from outside the fault injector.
   [[nodiscard]] pid_t workerPid(std::size_t j) const {

@@ -17,6 +17,14 @@ using region::Index;
 using region::IndexSet;
 using region::Partition;
 
+namespace {
+
+/// Checkpoint restores an executor performs, over its lifetime, before a
+/// fault propagates instead.
+constexpr std::size_t kMaxCheckpointRestores = 16;
+
+}  // namespace
+
 PlanExecutor::PlanExecutor(region::World& world,
                            const parallelize::ParallelPlan& plan,
                            std::size_t pieces, ExecOptions options)
@@ -540,10 +548,8 @@ void PlanExecutor::run() {
   // right loops in the right order.
   const std::uint64_t target = launchesDone_ + nLoops;
   while (launchesDone_ < target) {
-    const bool mayRestore =
-        checkpoints_ != nullptr &&
-        checkpointRestores_ <
-            static_cast<std::size_t>(options_.checkpoint.maxRestores);
+    const bool mayRestore = checkpoints_ != nullptr &&
+                            checkpointRestores_ < kMaxCheckpointRestores;
     try {
       runLoop(plan_.loops[launchesDone_ % nLoops]);
     } catch (const NodeLossError& loss) {

@@ -45,8 +45,6 @@ struct CheckpointOptions {
   int everyNLaunches = 1;
   /// Checkpoint generations kept on disk (older ones are deleted).
   int retain = 3;
-  /// Give up (propagate the fault) after this many checkpoint restores.
-  int maxRestores = 16;
   /// Rebuilds an externally bound partition for a new piece count after an
   /// elastic shrink. Without it, a shrink with externals whose piece count
   /// no longer matches fails the restore.

@@ -90,11 +90,6 @@ double Rebalancer::imbalance(const std::string& loop) const {
   return it == windows_.end() ? 0 : it->second.imbalance;
 }
 
-std::vector<double> Rebalancer::windowMeans(const std::string& loop) const {
-  auto it = windows_.find(loop);
-  return it == windows_.end() ? std::vector<double>{} : it->second.meanSeconds;
-}
-
 std::vector<double> Rebalancer::estimateWeights(
     const Partition& iter, const std::vector<double>& pieceSeconds,
     Index regionSize) {

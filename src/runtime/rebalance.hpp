@@ -83,10 +83,6 @@ class Rebalancer {
   /// tests.
   [[nodiscard]] double imbalance(const std::string& loop) const;
 
-  /// Mean per-piece seconds over the loop's current window (empty until a
-  /// launch lands in the window).
-  [[nodiscard]] std::vector<double> windowMeans(const std::string& loop) const;
-
   /// Rebalances performed so far (counts toward RebalancePolicy::maxRebalances).
   [[nodiscard]] std::size_t rebalances() const { return rebalances_; }
 
@@ -94,8 +90,6 @@ class Rebalancer {
   /// the measured times no longer describe the machine). The rebalance
   /// count — and with it the maxRebalances cap — persists.
   void reset() { windows_.clear(); }
-
-  [[nodiscard]] const RebalancePolicy& policy() const { return policy_; }
 
  private:
   /// Per-loop observation window. Gauges/counters are monotone

@@ -19,20 +19,15 @@ struct Session::Impl {
   std::unique_ptr<runtime::PlanExecutor> executor;
 
   /// Points observability at session-owned instances wherever the caller
-  /// supplied none; honors an explicit trace request on a caller-owned
-  /// tracer.
+  /// supplied none. A trace file switches tracing on (on a caller-owned
+  /// tracer too); without one the caller's enable state is respected.
   void resolveObservability() {
     ObservabilityOptions& obs = options.observability;
-    const bool wantTrace = obs.trace || !obs.traceFile.empty();
-    if (obs.tracer == nullptr && wantTrace) {
-      ownedTracer = std::make_unique<Tracer>(obs.traceCapacity);
-      obs.tracer = ownedTracer.get();
-    }
-    if (ownedTracer != nullptr) {
-      ownedTracer->enable();
-    } else if (obs.tracer != nullptr && wantTrace) {
-      // Caller-owned tracer with an explicit trace request: switch it on;
-      // without the request the caller's enable state is respected.
+    if (!obs.traceFile.empty()) {
+      if (obs.tracer == nullptr) {
+        ownedTracer = std::make_unique<Tracer>();
+        obs.tracer = ownedTracer.get();
+      }
       obs.tracer->enable();
     }
     if (obs.metrics == nullptr) {
@@ -215,11 +210,8 @@ SessionBuilder& SessionBuilder::adaptive(runtime::RebalancePolicy policy) {
 }
 
 Plan SessionBuilder::compile(region::World& world, Tracer* tracer) {
-  return compileInternal(world, tracer);
-}
-
-Plan SessionBuilder::compileInternal(region::World& world, Tracer* tracer) {
   DPART_CHECK(pieces_ > 0, "SessionBuilder::pieces() must be set (> 0)");
+  DPART_TRACE_SPAN(tracer, "compile", "compile");
   auto payload = std::make_shared<Plan::Payload>();
   payload->pieces = pieces_;
   // The vocabulary propagators and proof certificates reason about concrete
@@ -238,13 +230,7 @@ Session SessionBuilder::build(region::World& world) {
   auto impl = std::make_unique<Session::Impl>();
   impl->options = std::move(options_);
   impl->resolveObservability();
-
-  {
-    DPART_TRACE_SPAN(impl->options.observability.tracer, "compile", "compile");
-    impl->compiled =
-        compileInternal(world, impl->options.observability.tracer);
-  }
-
+  impl->compiled = compile(world, impl->options.observability.tracer);
   impl->finish(world);
   for (auto& [name, part] : externals_) {
     impl->executor->bindExternal(name, std::move(part));

@@ -154,8 +154,9 @@ class SessionBuilder {
   /// solve / synthesize against `world`'s region shapes, returning the
   /// result as an immutable shareable Plan. No executor is built and no
   /// loop runs; pass the Plan to Session::execute() — as many times as
-  /// needed — to run it. `tracer`, when given, records the compile phases
-  /// as "compile"-category spans (the plan service passes its own).
+  /// needed — to run it. `tracer`, when given, records one "compile" span
+  /// with the compile phases nested inside as "compile"-category spans (the
+  /// plan service passes its own, so the span nests in service.request).
   [[nodiscard]] Plan compile(region::World& world, Tracer* tracer = nullptr);
 
   /// Plans (once) and wires up the executor without running any loop —
@@ -165,8 +166,6 @@ class SessionBuilder {
   [[nodiscard]] Session run(region::World& world);
 
  private:
-  [[nodiscard]] Plan compileInternal(region::World& world, Tracer* tracer);
-
   ir::Program program_;
   runtime::ExecOptions options_;
   parallelize::Options compileOptions_;

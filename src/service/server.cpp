@@ -8,13 +8,13 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <string_view>
 #include <utility>
 
 #include "runtime/session.hpp"
 #include "support/framing.hpp"
+#include "support/hash.hpp"
 
 namespace dpart::service {
 
@@ -27,19 +27,6 @@ std::uint64_t nowMicros() {
           .count());
 }
 
-bool debugEnabled() {
-  static const bool on = std::getenv("DPART_SERVE_DEBUG") != nullptr;
-  return on;
-}
-
-#define SERVE_DEBUG(...)                         \
-  do {                                           \
-    if (debugEnabled()) {                        \
-      std::fprintf(stderr, "serve: " __VA_ARGS__); \
-      std::fputc('\n', stderr);                  \
-    }                                            \
-  } while (0)
-
 [[noreturn]] void setupFail(const std::string& what) {
   throw TransportError(0, "plan server: " + what + ": " +
                               std::strerror(errno));
@@ -50,16 +37,6 @@ bool debugEnabled() {
 std::vector<double> latencyBoundsMs() {
   return {0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500,
           1000, 2500, 5000, 10000};
-}
-
-/// FNV-1a over a byte range; keys the exact-request response memo.
-std::uint64_t fnv64Bytes(const std::uint8_t* data, std::size_t n) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= data[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
 }
 
 /// Upper bound of the bucket where the q-quantile falls (the conventional
@@ -142,6 +119,9 @@ void PlanServer::beginStop() {
     std::lock_guard<std::mutex> lock(queueMutex_);
     if (stopping_) return;
     stopping_ = true;
+    // A worker parked in recvFrame on an idle client sees EOF now instead
+    // of waiting out recvTimeoutMicros; replies still being written go out.
+    for (const int fd : serving_) ::shutdown(fd, SHUT_RD);
   }
   if (listenFd_ >= 0) ::shutdown(listenFd_, SHUT_RDWR);
   queueCv_.notify_all();
@@ -216,7 +196,6 @@ void PlanServer::acceptLoop() {
     if (pr <= 0) continue;
     const int fd = ::accept(listenFd_, nullptr, nullptr);
     if (fd < 0) continue;  // raced with shutdown or transient error
-    SERVE_DEBUG("accepted fd=%d", fd);
     bool admitted = false;
     {
       std::lock_guard<std::mutex> lock(queueMutex_);
@@ -228,7 +207,6 @@ void PlanServer::acceptLoop() {
       }
     }
     if (admitted) {
-      SERVE_DEBUG("admitted fd=%d", fd);
       queueCv_.notify_one();
     } else {
       // Admission control: refuse rather than queue unboundedly. The
@@ -256,12 +234,15 @@ void PlanServer::workerLoop() {
       if (queue_.empty()) return;  // stopping
       conn = queue_.front();
       queue_.pop_front();
+      serving_.push_back(conn.fd);
       service_.gauge("service.queue.depth")
           .set(static_cast<double>(queue_.size()));
     }
-    SERVE_DEBUG("worker popped fd=%d", conn.fd);
     serveConnection(conn);
-    SERVE_DEBUG("worker done fd=%d", conn.fd);
+    {
+      std::lock_guard<std::mutex> lock(queueMutex_);
+      std::erase(serving_, conn.fd);
+    }
     ::close(conn.fd);
   }
 }
@@ -282,7 +263,7 @@ void PlanServer::serveConnection(PendingConn conn) {
           conn.fd, options_.recvTimeoutMicros, options_.maxFrameBytes,
           /*node=*/0, static_cast<std::uint8_t>(MsgType::Request),
           static_cast<std::uint8_t>(MsgType::Shutdown));
-    } catch (const TransportError& e) {
+    } catch (const TransportError&) {
       // Malformed frame, CRC mismatch, mid-frame EOF or idle timeout: the
       // connection is unusable — count it and drop the client. The server
       // must survive hostile bytes; only this connection pays.
@@ -290,15 +271,9 @@ void PlanServer::serveConnection(PendingConn conn) {
           .counter("service.errors",
                    {{"kind", toString(ErrorCode::Transport)}})
           .inc();
-      SERVE_DEBUG("fd=%d transport error: %s", conn.fd, e.what());
       return;
     }
-    if (!frame) {
-      SERVE_DEBUG("fd=%d clean EOF", conn.fd);
-      return;  // clean EOF between frames
-    }
-    SERVE_DEBUG("fd=%d frame type=%u size=%zu", conn.fd, unsigned(frame->type),
-                frame->payload.size());
+    if (!frame) return;  // clean EOF between frames
     switch (static_cast<MsgType>(frame->type)) {
       case MsgType::Request:
         try {
@@ -395,8 +370,9 @@ void PlanServer::handleRequest(int fd,
     const bool memoEnabled = options_.responseCacheCapacity > 0 &&
                              payload.size() >= tenantPrefix;
     if (memoEnabled) {
-      memoKey = fnv64Bytes(payload.data() + tenantPrefix,
-                           payload.size() - tenantPrefix);
+      memoKey = fnv1a64(std::string_view(
+          reinterpret_cast<const char*>(payload.data()) + tenantPrefix,
+          payload.size() - tenantPrefix));
       if (std::optional<PlanResponse> hit = responseCacheLookup(memoKey)) {
         PlanResponse resp = std::move(*hit);
         resp.cacheHit = true;

@@ -87,9 +87,11 @@ class PlanServer {
   /// TransportError when the socket cannot be set up.
   void start();
 
-  /// Requests shutdown, drains the queue and joins all threads. Safe to
-  /// call twice; called by the destructor. Must not be called from a
-  /// worker thread (a Shutdown frame triggers the non-joining half).
+  /// Requests shutdown, drains the queue and joins all threads. Connected
+  /// idle clients are dropped at once rather than after recvTimeoutMicros;
+  /// a request already compiling still gets its reply. Safe to call twice;
+  /// called by the destructor. Must not be called from a worker thread (a
+  /// Shutdown frame triggers the non-joining half).
   void stop();
 
   /// Blocks until a stop was requested (Shutdown frame or stop()). The
@@ -172,6 +174,10 @@ class PlanServer {
   std::condition_variable queueCv_;
   std::condition_variable stopCv_;
   std::deque<PendingConn> queue_;
+  /// Fds of the connections workers are serving, so beginStop() can shut
+  /// down their read side. A worker removes its fd before closing it, so a
+  /// shutdown never reaches a closed or reused descriptor.
+  std::vector<int> serving_;
   bool stopping_ = false;
   bool started_ = false;
 };

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "support/check.hpp"
+#include "support/hash.hpp"
 
 namespace dpart {
 
@@ -144,12 +145,7 @@ class FaultInjector {
   /// FNV-1a over the site mixed through SplitMix64 finalization.
   [[nodiscard]] double draw(const std::string& site, std::uint64_t arrival,
                             std::uint64_t salt) const {
-    std::uint64_t h = 14695981039346656037ULL;
-    for (char c : site) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 1099511628211ULL;
-    }
-    std::uint64_t z = h ^ (seed_ * 0x9e3779b97f4a7c15ULL) ^
+    std::uint64_t z = fnv1a64(site) ^ (seed_ * 0x9e3779b97f4a7c15ULL) ^
                       (arrival * 0xbf58476d1ce4e5b9ULL) ^
                       (salt * 0x94d049bb133111ebULL);
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;

@@ -50,15 +50,6 @@ std::vector<std::uint64_t> MetricHistogram::bucketCounts() const {
   return out;
 }
 
-void MetricHistogram::setState(std::uint64_t count, double sum,
-                               const std::vector<std::uint64_t>& buckets) {
-  DPART_CHECK(buckets.size() == bounds_.size() + 1,
-              "histogram bucket count mismatch on restore");
-  for (std::size_t i = 0; i < buckets.size(); ++i) buckets_[i] = buckets[i];
-  count_.store(count, std::memory_order_relaxed);
-  sum_.store(sum, std::memory_order_relaxed);
-}
-
 std::string MetricsRegistry::key(const std::string& name,
                                  const MetricLabels& labels) {
   std::string k = name;
@@ -146,23 +137,6 @@ MetricsRegistry::Snapshot MetricsRegistry::snapshot() const {
     snap.entries.push_back(std::move(e));
   }
   return snap;  // map iteration order == key order: deterministic
-}
-
-void MetricsRegistry::restore(const Snapshot& snap) {
-  for (const Snapshot::Entry& e : snap.entries) {
-    switch (e.kind) {
-      case Snapshot::Entry::Kind::Counter:
-        counter(e.name, e.labels).set(e.count);
-        break;
-      case Snapshot::Entry::Kind::Gauge:
-        gauge(e.name, e.labels).set(e.value);
-        break;
-      case Snapshot::Entry::Kind::Histogram:
-        histogram(e.name, e.bounds, e.labels)
-            .setState(e.count, e.value, e.buckets);
-        break;
-    }
-  }
 }
 
 std::string MetricsRegistry::Snapshot::toJson() const {

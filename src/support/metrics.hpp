@@ -22,8 +22,6 @@ class MetricCounter {
   [[nodiscard]] std::uint64_t value() const {
     return v_.load(std::memory_order_relaxed);
   }
-  /// Restore-path only; counters are otherwise monotone.
-  void set(std::uint64_t v) { v_.store(v, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> v_{0};
@@ -59,10 +57,6 @@ class MetricHistogram {
   }
   [[nodiscard]] const std::vector<double>& bounds() const { return bounds_; }
   [[nodiscard]] std::vector<std::uint64_t> bucketCounts() const;
-
-  /// Restore-path only.
-  void setState(std::uint64_t count, double sum,
-                const std::vector<std::uint64_t>& buckets);
 
  private:
   std::vector<double> bounds_;
@@ -115,11 +109,6 @@ class MetricsRegistry {
   };
 
   [[nodiscard]] Snapshot snapshot() const;
-
-  /// Recreates every metric in the snapshot with its captured value
-  /// (existing same-keyed metrics are overwritten) — the inverse of
-  /// snapshot(), used to rehydrate or merge persisted metrics.
-  void restore(const Snapshot& snap);
 
   [[nodiscard]] std::string toJson() const { return snapshot().toJson(); }
 

@@ -60,8 +60,6 @@ struct PerfCounters {
   std::uint64_t containerSwitches = 0;
   std::uint64_t bitmapOpWords = 0;
 
-  void reset() { *this = PerfCounters{}; }
-
   void merge(const PerfCounters& other) {
     for (std::size_t i = 0; i < kNumOps; ++i) {
       ops[i].invocations += other.ops[i].invocations;
@@ -104,8 +102,9 @@ struct PerfCounters {
   }
 
   /// Publishes every tally into `registry` as dpl.* metrics, one labelled
-  /// series per operator. Values are absolute (gauge semantics for the
-  /// counts too, since PerfCounters accumulates and can be reset).
+  /// series per operator. Each call sets the running totals (gauge semantics
+  /// for the counts too), so publishing again after more work overwrites
+  /// rather than double-counts.
   void exportTo(MetricsRegistry& registry) const {
     for (std::size_t i = 0; i < kNumOps; ++i) {
       const MetricLabels labels{{"op", opName(i)}};
@@ -125,30 +124,6 @@ struct PerfCounters {
         .set(static_cast<double>(containerSwitches));
     registry.gauge("dpl.indexset.bitmap_op_words")
         .set(static_cast<double>(bitmapOpWords));
-  }
-
-  /// Small human-readable table for debug output.
-  [[nodiscard]] std::string report() const {
-    std::ostringstream os;
-    os << "op          calls      ms        elements    runs\n";
-    for (std::size_t i = 0; i < kNumOps; ++i) {
-      const OpCounter& c = ops[i];
-      if (c.invocations == 0) continue;
-      os << opName(i);
-      for (std::size_t pad = std::string(opName(i)).size(); pad < 12; ++pad)
-        os << ' ';
-      os << c.invocations << "   " << c.seconds * 1e3 << "   " << c.elements
-         << "   " << c.runs << '\n';
-    }
-    os << "cache: " << cacheHits << " hits / " << cacheMisses << " misses\n";
-    if (injectedStallMicros > 0) {
-      os << "injected stalls: " << injectedStallMicros << " us\n";
-    }
-    if (containerSwitches > 0 || bitmapOpWords > 0) {
-      os << "indexset: " << containerSwitches << " container switches, "
-         << bitmapOpWords << " bitmap-op words\n";
-    }
-    return os.str();
   }
 };
 

@@ -40,9 +40,7 @@ class ThreadCpuTimer {
  public:
   ThreadCpuTimer() : start_(now()) {}
 
-  void reset() { start_ = now(); }
-
-  /// CPU seconds this thread consumed since construction or reset().
+  /// CPU seconds this thread consumed since construction.
   [[nodiscard]] double seconds() const { return now() - start_; }
 
  private:

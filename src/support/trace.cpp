@@ -132,30 +132,10 @@ void Tracer::instant(const char* cat, std::string name, std::string args) {
   e->args = std::move(args);
 }
 
-void Tracer::counter(std::string name, std::int64_t value) {
-  if (!enabled()) return;
-  std::uint64_t seq = 0;
-  TraceEvent* e = claim(&seq);
-  if (e == nullptr) return;
-  e->phase = TraceEvent::Phase::Counter;
-  e->tid = threadIndex();
-  e->seq = seq;
-  e->tsMicros = nowMicros();
-  e->cat = "";
-  e->name = std::move(name);
-  e->args.clear();
-  e->value = value;
-}
-
 std::size_t Tracer::size() const {
   return static_cast<std::size_t>(
       std::min<std::uint64_t>(next_.load(std::memory_order_relaxed),
                               buf_.size()));
-}
-
-void Tracer::clear() {
-  next_.store(0, std::memory_order_relaxed);
-  dropped_.store(0, std::memory_order_relaxed);
 }
 
 std::vector<TraceEvent> Tracer::events() const {
@@ -221,9 +201,7 @@ std::string Tracer::toChromeJson() const {
     }
     os << ",\"cat\":\"" << e.cat << '"';  // fixed schema: always present
     if (e.phase == TraceEvent::Phase::Instant) os << ",\"s\":\"t\"";
-    if (e.phase == TraceEvent::Phase::Counter) {
-      os << ",\"args\":{\"value\":" << e.value << '}';
-    } else if (e.phase == TraceEvent::Phase::Begin) {
+    if (e.phase == TraceEvent::Phase::Begin) {
       os << ",\"args\":{\"span_id\":" << e.seq + 1;
       if (!e.args.empty()) os << ',' << e.args;
       os << '}';

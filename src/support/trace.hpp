@@ -32,7 +32,6 @@ struct TraceEvent {
     Begin = 'B',
     End = 'E',
     Instant = 'i',
-    Counter = 'C',
   };
 
   Phase phase = Phase::Instant;
@@ -42,10 +41,9 @@ struct TraceEvent {
   const char* cat = "";        ///< static category string
   std::string name;            ///< event name (empty on End; filled at export)
   std::string args;            ///< preformatted JSON object body, may be empty
-  std::int64_t value = 0;      ///< Counter payload
 };
 
-/// Low-overhead span/instant/counter tracer backed by a preallocated ring
+/// Low-overhead span/instant tracer backed by a preallocated ring
 /// of events. Thread-safe: slots are claimed with one atomic fetch_add and
 /// written without locks (distinct slots), timestamps come from one
 /// steady clock (monotonic per thread), and the enabled flag is a relaxed
@@ -93,19 +91,12 @@ class Tracer {
   /// Records an Instant event.
   void instant(const char* cat, std::string name, std::string args = {});
 
-  /// Records a Counter event (rendered as a Chrome counter track).
-  void counter(std::string name, std::int64_t value);
-
-  [[nodiscard]] std::size_t capacity() const { return buf_.size(); }
   /// Events recorded so far (quiescent read).
   [[nodiscard]] std::size_t size() const;
   /// Events lost to ring overflow.
   [[nodiscard]] std::uint64_t droppedEvents() const {
     return dropped_.load(std::memory_order_relaxed);
   }
-
-  /// Drops all recorded events (callers must be quiescent).
-  void clear();
 
   /// Chronological copy of the recorded events, with End events' names
   /// backfilled from their Begin and missing Ends synthesized, so the

@@ -16,9 +16,12 @@
 #include <bit>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "constraint/system.hpp"
+#include "dpl/expr.hpp"
 #include "parallelize/parallelize.hpp"
 #include "runtime/executor.hpp"
 #include "support/fault.hpp"
@@ -362,6 +365,122 @@ TEST(ElasticShrink, LoopFaultRestoresWithoutShrink) {
   EXPECT_EQ(exec.elasticShrinks(), 0u) << "no node was lost";
   EXPECT_EQ(exec.pieces(), kPieces);
   expectAllFieldsEqual(clean, faulty);
+}
+
+// An externally bound pair (DESIGN.md §8): S cut into `pieces` contiguous
+// blocks "pS", and R cut into blocks "pR" that f (i / 3) maps exactly onto
+// them.
+region::Partition externalBlocks(const World& w, const std::string& name,
+                                 std::size_t pieces) {
+  const Index nS = w.region("S").size();
+  const Index scale = name == "pR" ? 3 : 1;
+  std::vector<region::IndexSet> subs;
+  for (std::size_t j = 0; j < pieces; ++j) {
+    const Index lo = static_cast<Index>(j) * nS / static_cast<Index>(pieces);
+    const Index hi =
+        static_cast<Index>(j + 1) * nS / static_cast<Index>(pieces);
+    subs.push_back(region::IndexSet::interval(scale * lo, scale * hi));
+  }
+  return region::Partition(name == "pR" ? "R" : "S", std::move(subs));
+}
+
+/// The scatter planned against the external pair; the planner derives its
+/// iteration partition as preimage(R, f, pS), so pS is the one it binds.
+parallelize::ParallelPlan planOverExternals(World& w,
+                                            const ir::Program& prog) {
+  constraint::System ext;
+  ext.declareSymbol("pR", "R", /*fixed=*/true);
+  ext.declareSymbol("pS", "S", /*fixed=*/true);
+  ext.addSubset(dpl::image(dpl::symbol("pR"), "f", "S"), dpl::symbol("pS"));
+  ext.addComp(dpl::symbol("pR"), "R");
+  ext.addDisj(dpl::symbol("pR"));
+  ext.addComp(dpl::symbol("pS"), "S");
+  ext.addDisj(dpl::symbol("pS"));
+  parallelize::AutoParallelizer ap(w);
+  ap.addExternalConstraint(ext);
+  return ap.plan(prog);
+}
+
+void bindExternalBlocks(runtime::PlanExecutor& exec, const World& w,
+                        const parallelize::ParallelPlan& plan,
+                        std::size_t pieces) {
+  for (const std::string& name : plan.externalSymbols) {
+    exec.bindExternal(name, externalBlocks(w, name, pieces));
+  }
+}
+
+/// Runs the external-partition scatter at kPieces with node 2 dying
+/// permanently on its second launch, rebinding the externals with
+/// `rebind` (empty: no CheckpointOptions::externalRebind); asserts exactly
+/// one restore + shrink.
+void runExternalNodeLoss(
+    World& w, const ir::Program& prog,
+    std::function<region::Partition(const std::string&, std::size_t)>
+        rebind) {
+  const parallelize::ParallelPlan plan = planOverExternals(w, prog);
+  ASSERT_TRUE(plan.externalSymbols.contains("pS"));
+
+  FaultInjector inj(17);
+  FaultSpec loss;
+  loss.kind = FaultKind::PermanentCrash;
+  loss.afterArrivals = 2;
+  loss.maxFires = 1;
+  inj.arm("node:2", loss);
+
+  TempDir dir("shrink_ext");
+  runtime::ExecOptions opts;
+  opts.resilience.faultInjector = &inj;
+  opts.checkpoint.dir = dir.str();
+  opts.checkpoint.externalRebind = std::move(rebind);
+  opts.verifyPartitions = true;
+  opts.validateAccesses = true;
+  runtime::PlanExecutor exec(w, plan, kPieces, opts);
+  bindExternalBlocks(exec, w, plan, kPieces);
+  for (int s = 0; s < kSteps; ++s) exec.run();
+  EXPECT_EQ(exec.checkpointRestores(), 1u);
+  EXPECT_EQ(exec.elasticShrinks(), 1u);
+  EXPECT_EQ(exec.pieces(), kPieces - 1);
+  EXPECT_NO_THROW(exec.verifyPartitions());
+}
+
+TEST(ElasticShrink, ExternalRebindRebuildsExternalsAfterNodeLoss) {
+  const std::uint64_t seed = 17;
+  const ir::Program prog = makeScatter(ir::ReduceOp::Sum, false, false);
+
+  World clean;
+  buildWorld(clean, seed);
+  {
+    const parallelize::ParallelPlan plan = planOverExternals(clean, prog);
+    runtime::PlanExecutor exec(clean, plan, kPieces - 1);
+    bindExternalBlocks(exec, clean, plan, kPieces - 1);
+    for (int s = 0; s < kSteps; ++s) exec.run();
+  }
+
+  World faulty;
+  buildWorld(faulty, seed);
+  std::size_t rebinds = 0;
+  runExternalNodeLoss(faulty, prog,
+                      [&](const std::string& name, std::size_t pieces) {
+                        ++rebinds;
+                        EXPECT_EQ(pieces, kPieces - 1);
+                        return externalBlocks(faulty, name, pieces);
+                      });
+  EXPECT_GE(rebinds, 1u);
+  expectAllFieldsEqual(clean, faulty);
+}
+
+TEST(ElasticShrink, ShrinkWithExternalsFailsWithoutExternalRebind) {
+  const ir::Program prog = makeScatter(ir::ReduceOp::Sum, false, false);
+  World w;
+  buildWorld(w, 17);
+  try {
+    runExternalNodeLoss(w, prog, {});
+    ADD_FAILURE() << "the restore rebound externals without externalRebind";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("CheckpointOptions::externalRebind"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ElasticShrink, NodeLossWithoutCheckpointsPropagates) {

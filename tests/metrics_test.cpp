@@ -59,25 +59,6 @@ TEST(Metrics, ReferencesAreStableAcrossLaterRegistrations) {
   EXPECT_EQ(registry.counter("first").value(), 7u);
 }
 
-TEST(Metrics, SnapshotRestoreRoundTrip) {
-  MetricsRegistry a;
-  a.counter("launches").inc(12);
-  a.gauge("compile.solveMs", {{"app", "spmv"}}).set(1.75);
-  a.histogram("taskMs", {1.0, 8.0}).observe(3.0);
-
-  const MetricsRegistry::Snapshot snap = a.snapshot();
-  MetricsRegistry b;
-  b.restore(snap);
-  EXPECT_EQ(b.snapshot(), snap);
-  EXPECT_EQ(b.counter("launches").value(), 12u);
-  EXPECT_DOUBLE_EQ(b.gauge("compile.solveMs", {{"app", "spmv"}}).value(), 1.75);
-
-  // Mutating the restored registry keeps going from the restored state.
-  b.counter("launches").inc();
-  EXPECT_EQ(b.counter("launches").value(), 13u);
-  EXPECT_NE(b.snapshot(), snap);
-}
-
 TEST(Metrics, SnapshotIsDeterministicallyOrdered) {
   MetricsRegistry a;
   a.counter("zeta").inc();

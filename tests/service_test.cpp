@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -546,6 +547,24 @@ TEST(ServiceServer, ShutdownFrameStopsTheServer) {
   client.shutdownServer();
   fx.server.waitForStopRequest();
   fx.server.stop();
+  EXPECT_FALSE(fx.server.running());
+}
+
+// A connected client that sends nothing more must not hold stop() for the
+// whole receive deadline: the worker parked on it is released at once.
+TEST(ServiceServer, StopDoesNotWaitOutIdleClients) {
+  ServerOptions opts;
+  opts.recvTimeoutMicros = 30'000'000;
+  ServerFixture fx(opts);
+  region::World world;
+  buildWorld(world);
+  PlanClient client = PlanClient::connectTcp(fx.server.port());
+  // One answered request proves a worker is serving this connection.
+  (void)client.parallelize(makeRequest("idle", world, makeProgram()));
+
+  const auto t0 = std::chrono::steady_clock::now();
+  fx.server.stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(2));
   EXPECT_FALSE(fx.server.running());
 }
 

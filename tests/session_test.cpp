@@ -9,6 +9,7 @@
 #include <fstream>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "ir/interp.hpp"
 #include "parallelize/solve_cache.hpp"
@@ -93,6 +94,34 @@ std::set<std::string> spanNames(const Tracer& tracer) {
   return names;
 }
 
+/// Checks that `tracer` recorded exactly one "compile" span and that every
+/// phase.* event lies inside it.
+void expectOneEnclosingCompileSpan(const Tracer& tracer) {
+  const std::vector<TraceEvent> events = tracer.events();
+  std::size_t begins = 0;
+  std::size_t open = 0;
+  std::size_t close = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (events[i].name != "compile") continue;
+    if (events[i].phase == TraceEvent::Phase::Begin) {
+      ++begins;
+      open = i;
+    } else if (events[i].phase == TraceEvent::Phase::End) {
+      close = i;
+    }
+  }
+  ASSERT_EQ(begins, 1u);
+  ASSERT_LT(open, close);
+  std::size_t phases = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (!events[i].name.starts_with("phase.")) continue;
+    ++phases;
+    EXPECT_GT(i, open) << events[i].name;
+    EXPECT_LT(i, close) << events[i].name;
+  }
+  EXPECT_GT(phases, 0u);
+}
+
 TEST(Session, BuilderRequiresPieces) {
   region::World world;
   buildWorld(world);
@@ -147,8 +176,10 @@ TEST(Session, PlansOnceAndPersistsExecutorAcrossRuns) {
 TEST(Session, TraceCoversEveryLayer) {
   region::World world;
   buildWorld(world);
+  Tracer sessionTracer;
+  sessionTracer.enable();
   runtime::ExecOptions opts;
-  opts.observability.trace = true;
+  opts.observability.tracer = &sessionTracer;
   Session session = Session::parallelize(makeProgram())
                         .pieces(4)
                         .options(opts)
@@ -222,6 +253,29 @@ TEST(Session, TraceCoversEveryLayer) {
                  warm.stats().solveMs, "relax + rebind");
 }
 
+// compile() on its own opens the "compile" span, so every compile path —
+// the plan service included — has one around its phases.
+TEST(Session, CompileAloneRecordsOneEnclosingCompileSpan) {
+  region::World world;
+  buildWorld(world);
+  Tracer tracer;
+  tracer.enable();
+  (void)Session::parallelize(makeProgram()).pieces(4).compile(world, &tracer);
+  expectOneEnclosingCompileSpan(tracer);
+}
+
+TEST(Session, BuildRecordsExactlyOneCompileSpan) {
+  region::World world;
+  buildWorld(world);
+  Tracer tracer;
+  tracer.enable();
+  runtime::ExecOptions opts;
+  opts.observability.tracer = &tracer;
+  (void)Session::parallelize(makeProgram()).pieces(4).options(opts).build(
+      world);
+  expectOneEnclosingCompileSpan(tracer);
+}
+
 TEST(Session, MetricsPublishCompileAndExecutorGauges) {
   region::World world;
   buildWorld(world);
@@ -250,8 +304,10 @@ TEST(Session, ErrorsCarrySpanIdsAndCountIntoMetrics) {
   crash.maxFires = 1;
   injector.arm("task:update_particles:1", crash);
 
+  Tracer tracer;
+  tracer.enable();
   runtime::ExecOptions opts;
-  opts.observability.trace = true;
+  opts.observability.tracer = &tracer;
   opts.resilience.taskReplay = true;
   opts.resilience.maxTaskRetries = 2;
   opts.resilience.faultInjector = &injector;
@@ -331,12 +387,12 @@ TEST(Session, WritesTraceAndMetricsArtifacts) {
 
 TEST(Session, BorrowedObservabilityInstancesAreUsedNotOwned) {
   Tracer tracer;
+  tracer.enable();
   MetricsRegistry metrics;
   region::World world;
   buildWorld(world);
 
   runtime::ExecOptions opts;
-  opts.observability.trace = true;
   opts.observability.tracer = &tracer;
   opts.observability.metrics = &metrics;
   {

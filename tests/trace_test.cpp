@@ -49,7 +49,6 @@ TEST(Trace, DisabledTracerRecordsNothing) {
   EXPECT_FALSE(tracer.enabled());
   EXPECT_EQ(tracer.beginSpan("t", "never"), 0u);
   tracer.instant("t", "never");
-  tracer.counter("never", 1);
   EXPECT_EQ(tracer.size(), 0u);
 }
 
@@ -104,14 +103,13 @@ TEST(Trace, ChromeJsonSchema) {
   {
     TraceSpan span(&tracer, "compile", "phase.solve", "\"vars\":3");
     tracer.instant("executor", "task.replay", "\"site\":\"task:x:1\"");
-    tracer.counter("pieces", 8);
   }
 
   const json::Value doc = json::parse(tracer.toChromeJson());
   ASSERT_TRUE(doc.isObject());
   const json::Value& events = doc.at("traceEvents");
   ASSERT_TRUE(events.isArray());
-  ASSERT_EQ(events.items.size(), 4u);  // B, i, C, E
+  ASSERT_EQ(events.items.size(), 3u);  // B, i, E
   for (const json::Value& e : events.items) {
     ASSERT_TRUE(e.isObject());
     EXPECT_TRUE(e.at("ph").isString());
@@ -124,8 +122,7 @@ TEST(Trace, ChromeJsonSchema) {
   EXPECT_EQ(events.items[0].at("name").str, "phase.solve");
   EXPECT_EQ(events.items[0].at("args").at("vars").number, 3);
   EXPECT_EQ(events.items[1].at("ph").str, "i");
-  EXPECT_EQ(events.items[2].at("ph").str, "C");
-  EXPECT_EQ(events.items[3].at("ph").str, "E");
+  EXPECT_EQ(events.items[2].at("ph").str, "E");
 }
 
 TEST(Trace, OverflowDropsButExportStaysBalanced) {

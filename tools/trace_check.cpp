@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
       return fail("ph is not a single-character string" + at);
     }
     const char ph = e.at("ph").str[0];
-    if (ph != 'B' && ph != 'E' && ph != 'i' && ph != 'C') {
+    if (ph != 'B' && ph != 'E' && ph != 'i') {
       return fail(std::string("unexpected phase '") + ph + "'" + at);
     }
     if (!e.at("ts").isNumber()) return fail("ts is not a number" + at);
