@@ -242,85 +242,65 @@ int runSkewed() {
 
 int main(int argc, char** argv) {
   using namespace dpart;
+  using apps::SpmvApp;
   if (argc == 3 && std::strcmp(argv[1], "--trace") == 0) {
     return runTraced(argv[2]);
   }
   if (argc == 2 && std::strcmp(argv[1], "--skewed") == 0) {
     return runSkewed();
   }
-  if (argc == 3 && std::strcmp(argv[1], "--proof") == 0) {
-    apps::SpmvApp::Params p;
-    p.rowsPerPiece = 256;
-    p.nnzPerRow = 5;
-    p.pieces = 4;
-    apps::SpmvApp app(p);
-    return bench::emitProof(app.program(), app.world(), p.pieces, argv[2]);
-  }
-  sim::MachineConfig cfg;
-
-  struct Holder {
-    std::unique_ptr<apps::SpmvApp> app;
-  };
-  std::vector<std::unique_ptr<apps::SpmvApp>> keep;
-
-  auto makeSetup = [&](int nodes) {
-    apps::SpmvApp::Params p;
-    p.rowsPerPiece = 16384;
+  auto params = [](int nodes, region::Index rowsPerPiece) {
+    SpmvApp::Params p;
+    p.rowsPerPiece = rowsPerPiece;
     p.nnzPerRow = 5;
     p.pieces = static_cast<std::size_t>(nodes);
-    keep.push_back(std::make_unique<apps::SpmvApp>(p));
-    apps::SpmvApp& app = *keep.back();
-    bench::VariantRun run;
-    run.setup = app.autoSetup();
-    run.workPerNode = app.workPerPiece();  // non-zeros per node
-    run.world = &app.world();
-    return run;
+    return p;
   };
-
-  auto series = bench::runVariant("Auto", bench::nodeCounts(), cfg, makeSetup);
-
-  // Resilient variant: one node failure per day of node-time quantifies the
-  // snapshot + expected-replay overhead of the fault-tolerant executor.
-  sim::MachineConfig faulty = cfg;
+  if (const char* file = bench::proofFile(argc, argv)) {
+    return bench::emitProof<SpmvApp>(params(4, 256), file);
+  }
+  // workPerPiece: non-zeros per node.
+  auto make = [&](int nodes) {
+    return std::make_unique<SpmvApp>(params(nodes, 16384));
+  };
+  // One node failure per day of node-time. The resilient variant quantifies
+  // the snapshot + expected-replay overhead of the fault-tolerant executor;
+  // the checkpointed one recovers by durable checkpoint/restart at the
+  // Young/Daly-optimal interval instead (survives permanent node loss,
+  // unlike in-place replay).
+  sim::MachineConfig faulty;
   faulty.nodeMtbfSeconds = 86400;
-  auto resilient =
-      bench::runVariant("Auto (resilient)", bench::nodeCounts(), faulty,
-                        makeSetup, bench::FailureMode::Replay);
+  const auto panel = bench::runPanel<SpmvApp>(
+      "Figure 14a: SpMV weak scaling", "nnz/s",
+      {{"Auto", make, &SpmvApp::autoSetup},
+       {"Auto (resilient)", make, &SpmvApp::autoSetup, faulty,
+        bench::FailureMode::Replay},
+       {"Auto (checkpointed)", make, &SpmvApp::autoSetup, faulty,
+        bench::FailureMode::Checkpoint}});
 
-  // Checkpointed variant: same failure rate, but recovery is durable
-  // checkpoint/restart at the Young/Daly-optimal interval (survives
-  // permanent node loss, unlike in-place replay).
-  auto checkpointed =
-      bench::runVariant("Auto (checkpointed)", bench::nodeCounts(), faulty,
-                        makeSetup, bench::FailureMode::Checkpoint);
-
-  bench::printSeries("Figure 14a: SpMV weak scaling", "nnz/s",
-                     {series, resilient, checkpointed});
-  const double eff = series.points.back().throughputPerNode /
-                     series.points.front().throughputPerNode;
-  std::cout << "parallel efficiency at " << series.points.back().nodes
+  const apps::ScalingSeries& series = panel[0];
+  const apps::ScalingPoint& last = series.points.back();
+  const double eff =
+      last.throughputPerNode / series.points.front().throughputPerNode;
+  std::cout << "parallel efficiency at " << last.nodes
             << " nodes: " << eff * 100 << "% (paper: 99%)\n";
-  const double overhead = resilient.points.back().stepSeconds /
-                              series.points.back().stepSeconds -
-                          1.0;
-  std::cout << "resilience overhead at " << resilient.points.back().nodes
+  const double overhead =
+      panel[1].points.back().stepSeconds / last.stepSeconds - 1.0;
+  std::cout << "resilience overhead at " << last.nodes
             << " nodes (MTBF 1 day/node): " << overhead * 100 << "%\n";
 
-  const int maxNodes = series.points.back().nodes;
-  {
-    bench::VariantRun run = makeSetup(maxNodes);
-    sim::ClusterSim sim(*run.world, faulty);
-    for (const auto& [r, o] : run.setup.owners) sim.setOwner(r, o);
-    const sim::CheckpointCost cc =
-        sim.checkpointCost(maxNodes, series.points.back().stepSeconds);
-    const double ckptOverhead = checkpointed.points.back().stepSeconds /
-                                    series.points.back().stepSeconds -
-                                1.0;
-    std::cout << "checkpoint overhead at " << maxNodes
-              << " nodes (Young/Daly interval " << cc.intervalSeconds
-              << " s, write " << cc.checkpointSeconds * 1e3 << " ms, "
-              << cc.stateBytesPerNode / 1e6 << " MB/node): "
-              << ckptOverhead * 100 << "%\n";
-  }
+  // The checkpoint model prices the world's state size only, so the
+  // rebuilt app needs no setup.
+  const std::unique_ptr<SpmvApp> app = make(last.nodes);
+  const sim::CheckpointCost cc = sim::ClusterSim(app->world(), faulty)
+                                     .checkpointCost(last.nodes,
+                                                     last.stepSeconds);
+  const double ckptOverhead =
+      panel[2].points.back().stepSeconds / last.stepSeconds - 1.0;
+  std::cout << "checkpoint overhead at " << last.nodes
+            << " nodes (Young/Daly interval " << cc.intervalSeconds
+            << " s, write " << cc.checkpointSeconds * 1e3 << " ms, "
+            << cc.stateBytesPerNode / 1e6 << " MB/node): "
+            << ckptOverhead * 100 << "%\n";
   return 0;
 }

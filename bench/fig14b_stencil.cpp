@@ -5,55 +5,34 @@
 
 #include "scaling_common.hpp"
 
-#include <cstring>
-
 #include "apps/stencil.hpp"
 
 int main(int argc, char** argv) {
   using namespace dpart;
-  if (argc == 3 && std::strcmp(argv[1], "--proof") == 0) {
-    apps::StencilApp::Params p;
-    p.rowsPerPiece = 32;
-    p.cols = 32;
-    p.pieces = 4;
-    apps::StencilApp app(p);
-    return bench::emitProof(app.program(), app.world(), p.pieces, argv[2]);
-  }
-  sim::MachineConfig cfg;
-  std::vector<std::unique_ptr<apps::StencilApp>> keep;
-
-  auto makeParams = [](int nodes) {
-    apps::StencilApp::Params p;
-    p.rowsPerPiece = 128;
-    p.cols = 128;
+  using apps::StencilApp;
+  auto params = [](int nodes, region::Index side) {
+    StencilApp::Params p;
+    p.rowsPerPiece = side;
+    p.cols = side;
     p.pieces = static_cast<std::size_t>(nodes);
     return p;
   };
-  auto nodes = bench::nodeCounts();
-  auto manual = bench::runVariant("Manual", nodes, cfg, [&](int n) {
-    keep.push_back(std::make_unique<apps::StencilApp>(makeParams(n)));
-    apps::StencilApp& app = *keep.back();
-    bench::VariantRun run;
-    run.setup = app.manualSetup();
-    run.workPerNode = app.workPerPiece();  // grid points per node
-    run.world = &app.world();
-    return run;
-  });
-  auto autoSeries = bench::runVariant("Auto", nodes, cfg, [&](int n) {
-    keep.push_back(std::make_unique<apps::StencilApp>(makeParams(n)));
-    apps::StencilApp& app = *keep.back();
-    bench::VariantRun run;
-    run.setup = app.autoSetup();
-    run.workPerNode = app.workPerPiece();
-    run.world = &app.world();
-    return run;
-  });
+  if (const char* file = bench::proofFile(argc, argv)) {
+    return bench::emitProof<StencilApp>(params(4, 32), file);
+  }
+  // workPerPiece: grid points per node.
+  auto make = [&](int nodes) {
+    return std::make_unique<StencilApp>(params(nodes, 128));
+  };
+  const auto panel = bench::runPanel<StencilApp>(
+      "Figure 14b: Stencil weak scaling", "points/s",
+      {{"Manual", make, &StencilApp::manualSetup},
+       {"Auto", make, &StencilApp::autoSetup}});
 
-  bench::printSeries("Figure 14b: Stencil weak scaling", "points/s",
-                     {manual, autoSeries});
-  const double gap = 1.0 - autoSeries.points.back().throughputPerNode /
-                               manual.points.back().throughputPerNode;
-  std::cout << "auto vs manual at " << nodes.back()
-            << " nodes: " << gap * 100 << "% slower (paper: ~3%)\n";
+  const apps::ScalingPoint& manual = panel[0].points.back();
+  const apps::ScalingPoint& autoS = panel[1].points.back();
+  const double gap = 1.0 - autoS.throughputPerNode / manual.throughputPerNode;
+  std::cout << "auto vs manual at " << autoS.nodes << " nodes: " << gap * 100
+            << "% slower (paper: ~3%)\n";
   return 0;
 }

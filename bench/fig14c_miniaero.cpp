@@ -6,58 +6,39 @@
 
 #include "scaling_common.hpp"
 
-#include <cstring>
-
 #include "apps/miniaero.hpp"
 
 int main(int argc, char** argv) {
   using namespace dpart;
-  if (argc == 3 && std::strcmp(argv[1], "--proof") == 0) {
-    apps::MiniAeroApp::Params p;
-    p.nx = 6;
-    p.ny = 6;
-    p.nzPerPiece = 6;
-    p.pieces = 4;
-    apps::MiniAeroApp app(p);
-    return bench::emitProof(app.program(), app.world(), p.pieces, argv[2]);
-  }
-  sim::MachineConfig cfg;
-  std::vector<std::unique_ptr<apps::MiniAeroApp>> keep;
-
-  auto makeParams = [](int nodes) {
-    apps::MiniAeroApp::Params p;
-    p.nx = 24;
-    p.ny = 24;
-    p.nzPerPiece = 24;
+  using apps::MiniAeroApp;
+  auto params = [](int nodes, region::Index side) {
+    MiniAeroApp::Params p;
+    p.nx = side;
+    p.ny = side;
+    p.nzPerPiece = side;
     p.pieces = static_cast<std::size_t>(nodes);
     return p;
   };
-  auto nodes = bench::nodeCounts();
-  auto manual = bench::runVariant("Manual", nodes, cfg, [&](int n) {
-    keep.push_back(std::make_unique<apps::MiniAeroApp>(
-        makeParams(n), /*duplicatedFaces=*/true));
-    apps::MiniAeroApp& app = *keep.back();
-    bench::VariantRun run;
-    run.setup = app.manualSetup();
-    run.workPerNode = app.workPerPiece();  // cells per node
-    run.world = &app.world();
-    return run;
-  });
-  auto autoSeries = bench::runVariant("Auto", nodes, cfg, [&](int n) {
-    keep.push_back(std::make_unique<apps::MiniAeroApp>(makeParams(n)));
-    apps::MiniAeroApp& app = *keep.back();
-    bench::VariantRun run;
-    run.setup = app.autoSetup();
-    run.workPerNode = app.workPerPiece();
-    run.world = &app.world();
-    return run;
-  });
+  if (const char* file = bench::proofFile(argc, argv)) {
+    return bench::emitProof<MiniAeroApp>(params(4, 6), file);
+  }
+  // workPerPiece: cells per node.
+  auto manualMesh = [&](int nodes) {
+    return std::make_unique<MiniAeroApp>(params(nodes, 24),
+                                         /*duplicatedFaces=*/true);
+  };
+  auto sequentialMesh = [&](int nodes) {
+    return std::make_unique<MiniAeroApp>(params(nodes, 24));
+  };
+  const auto panel = bench::runPanel<MiniAeroApp>(
+      "Figure 14c: MiniAero weak scaling", "cells/s",
+      {{"Manual", manualMesh, &MiniAeroApp::manualSetup},
+       {"Auto", sequentialMesh, &MiniAeroApp::autoSetup}});
 
-  bench::printSeries("Figure 14c: MiniAero weak scaling", "cells/s",
-                     {manual, autoSeries});
-  const double gap = 1.0 - autoSeries.points.back().throughputPerNode /
-                               manual.points.back().throughputPerNode;
-  std::cout << "auto vs manual at " << nodes.back()
-            << " nodes: " << gap * 100 << "% slower (paper: ~2%)\n";
+  const apps::ScalingPoint& manual = panel[0].points.back();
+  const apps::ScalingPoint& autoS = panel[1].points.back();
+  const double gap = 1.0 - autoS.throughputPerNode / manual.throughputPerNode;
+  std::cout << "auto vs manual at " << autoS.nodes << " nodes: " << gap * 100
+            << "% slower (paper: ~2%)\n";
   return 0;
 }

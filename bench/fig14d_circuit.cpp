@@ -7,53 +7,34 @@
 
 #include "scaling_common.hpp"
 
-#include <cstring>
-
 #include "apps/circuit.hpp"
 
 int main(int argc, char** argv) {
   using namespace dpart;
-  if (argc == 3 && std::strcmp(argv[1], "--proof") == 0) {
-    apps::CircuitApp::Params p;
-    p.pieces = 4;
-    p.nodesPerCluster = 64;
-    p.wiresPerCluster = 256;
-    apps::CircuitApp app(p);
-    return bench::emitProof(app.program(), app.world(), p.pieces, argv[2]);
-  }
-  sim::MachineConfig cfg;
-  std::vector<std::unique_ptr<apps::CircuitApp>> keep;
-
-  auto makeParams = [](int nodes) {
-    apps::CircuitApp::Params p;
+  using apps::CircuitApp;
+  auto params = [](int nodes, region::Index nodesPerCluster) {
+    CircuitApp::Params p;
     p.pieces = static_cast<std::size_t>(nodes);
-    p.nodesPerCluster = 2048;
-    p.wiresPerCluster = 8192;
+    p.nodesPerCluster = nodesPerCluster;
+    p.wiresPerCluster = 4 * nodesPerCluster;
     return p;
   };
-  auto nodes = bench::nodeCounts();
-  auto run = [&](const char* name, auto makeSetup) {
-    return bench::runVariant(name, nodes, cfg, [&, makeSetup](int n) {
-      keep.push_back(std::make_unique<apps::CircuitApp>(makeParams(n)));
-      apps::CircuitApp& app = *keep.back();
-      bench::VariantRun vr;
-      vr.setup = makeSetup(app);
-      vr.workPerNode = app.workPerPiece();  // wires per node
-      vr.world = &app.world();
-      return vr;
-    });
+  if (const char* file = bench::proofFile(argc, argv)) {
+    return bench::emitProof<CircuitApp>(params(4, 64), file);
+  }
+  // workPerPiece: wires per node.
+  auto make = [&](int nodes) {
+    return std::make_unique<CircuitApp>(params(nodes, 2048));
   };
-  auto manual =
-      run("Manual", [](apps::CircuitApp& a) { return a.manualSetup(); });
-  auto hint =
-      run("Auto+Hint", [](apps::CircuitApp& a) { return a.hintSetup(); });
-  auto autoS = run("Auto", [](apps::CircuitApp& a) { return a.autoSetup(); });
+  const auto panel = bench::runPanel<CircuitApp>(
+      "Figure 14d: Circuit weak scaling", "wires/s",
+      {{"Manual", make, &CircuitApp::manualSetup},
+       {"Auto+Hint", make, &CircuitApp::hintSetup},
+       {"Auto", make, &CircuitApp::autoSetup}});
 
-  bench::printSeries("Figure 14d: Circuit weak scaling", "wires/s",
-                     {manual, hint, autoS});
-  std::cout << "Auto collapse factor at " << nodes.back() << " nodes: "
-            << autoS.points.front().throughputPerNode /
-                   autoS.points.back().throughputPerNode
+  const std::vector<apps::ScalingPoint>& autoS = panel[2].points;
+  std::cout << "Auto collapse factor at " << autoS.back().nodes << " nodes: "
+            << autoS.front().throughputPerNode / autoS.back().throughputPerNode
             << "x below its 1-node throughput\n";
   return 0;
 }

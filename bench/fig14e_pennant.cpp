@@ -7,52 +7,29 @@
 
 #include "scaling_common.hpp"
 
-#include <cstring>
-
 #include "apps/pennant.hpp"
 
 int main(int argc, char** argv) {
   using namespace dpart;
-  if (argc == 3 && std::strcmp(argv[1], "--proof") == 0) {
-    apps::PennantApp::Params p;
-    p.zx = 8;
-    p.zyPerPiece = 8;
-    p.pieces = 4;
-    apps::PennantApp app(p);
-    return bench::emitProof(app.program(), app.world(), p.pieces, argv[2]);
-  }
-  sim::MachineConfig cfg;
-  std::vector<std::unique_ptr<apps::PennantApp>> keep;
-
-  auto makeParams = [](int nodes) {
-    apps::PennantApp::Params p;
-    p.zx = 48;
-    p.zyPerPiece = 48;
+  using apps::PennantApp;
+  auto params = [](int nodes, region::Index side) {
+    PennantApp::Params p;
+    p.zx = side;
+    p.zyPerPiece = side;
     p.pieces = static_cast<std::size_t>(nodes);
     return p;
   };
-  auto nodes = bench::nodeCounts();
-  auto run = [&](const char* name, auto makeSetup) {
-    return bench::runVariant(name, nodes, cfg, [&, makeSetup](int n) {
-      keep.push_back(std::make_unique<apps::PennantApp>(makeParams(n)));
-      apps::PennantApp& app = *keep.back();
-      bench::VariantRun vr;
-      vr.setup = makeSetup(app);
-      vr.workPerNode = app.workPerPiece();  // zones per node
-      vr.world = &app.world();
-      return vr;
-    });
+  if (const char* file = bench::proofFile(argc, argv)) {
+    return bench::emitProof<PennantApp>(params(4, 8), file);
+  }
+  // workPerPiece: zones per node.
+  auto make = [&](int nodes) {
+    return std::make_unique<PennantApp>(params(nodes, 48));
   };
-  auto manual =
-      run("Manual", [](apps::PennantApp& a) { return a.manualSetup(); });
-  auto hint2 =
-      run("Auto+Hint2", [](apps::PennantApp& a) { return a.hint2Setup(); });
-  auto hint1 =
-      run("Auto+Hint1", [](apps::PennantApp& a) { return a.hint1Setup(); });
-  auto autoS =
-      run("Auto", [](apps::PennantApp& a) { return a.autoSetup(); });
-
-  bench::printSeries("Figure 14e: PENNANT weak scaling", "zones/s",
-                     {manual, hint2, hint1, autoS});
+  bench::runPanel<PennantApp>("Figure 14e: PENNANT weak scaling", "zones/s",
+                              {{"Manual", make, &PennantApp::manualSetup},
+                               {"Auto+Hint2", make, &PennantApp::hint2Setup},
+                               {"Auto+Hint1", make, &PennantApp::hint1Setup},
+                               {"Auto", make, &PennantApp::autoSetup}});
   return 0;
 }

@@ -1,10 +1,14 @@
 // Table 1: compilation-time breakdown of the auto-parallelizer on the five
-// benchmark programs — constraint inference, constraint solving (including
-// unification), and the parallel-code rewrite — plus the number of
+// benchmark programs — constraint inference, unification, constraint
+// solving, and the parallel-code rewrite — plus the number of
 // auto-parallelized loops. The paper's "binary generation" row has no analog
 // here (we emit execution plans, not CUDA binaries); the key claim this
 // table reproduces is that inference + solving + rewriting stay small in
 // absolute terms (milliseconds) and grow with program size.
+//
+// Each app is built once and compiled kCompiles times; every column is the
+// median over those compiles, and app construction is never timed (the same
+// sizes and split as perfbench's `compile` workload).
 //
 // Paper reference (Piz Daint, Regent compiler):
 //            SpMV   Stencil  Circuit  MiniAero  PENNANT
@@ -13,10 +17,10 @@
 //   rewrite  49ms   0.3s     0.3s     1.6s      1.9s
 //   loops    1      2        3        26        37
 
-#include <benchmark/benchmark.h>
-
+#include <algorithm>
 #include <iomanip>
 #include <iostream>
+#include <vector>
 
 #include "apps/circuit.hpp"
 #include "apps/miniaero.hpp"
@@ -24,121 +28,77 @@
 #include "apps/spmv.hpp"
 #include "apps/stencil.hpp"
 #include "parallelize/parallelize.hpp"
+#include "support/timer.hpp"
 
 namespace {
 
-using dpart::parallelize::AutoParallelizer;
-using dpart::parallelize::CompileStats;
+using namespace dpart;
+
+constexpr int kCompiles = 21;  // odd: each median is one measured compile
+
+double median(std::vector<double> v) {
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
+}
 
 struct Row {
-  std::string name;
-  CompileStats stats;
+  const char* name;
+  double inferMs, unifyMs, solveMs, rewriteMs, planMs;
+  int loops;
 };
 
-std::vector<Row>& rows() {
-  static std::vector<Row> r;
-  return r;
-}
-
-template <typename MakeApp>
-void benchCompile(benchmark::State& state, const std::string& name,
-                  MakeApp make) {
-  CompileStats last{};
-  for (auto _ : state) {
-    auto app = make();
-    AutoParallelizer ap(app->world());
-    auto plan = ap.plan(app->program());
-    last = plan.stats;
-    benchmark::DoNotOptimize(plan);
+template <typename App>
+Row measure(const char* name, const typename App::Params& params) {
+  App app(params);
+  std::vector<double> infer, unify, solve, rewrite, plan;
+  int loops = 0;
+  for (int i = 0; i < kCompiles; ++i) {
+    Timer timer;
+    parallelize::AutoParallelizer ap(app.world());
+    const parallelize::ParallelPlan p = ap.plan(app.program());
+    plan.push_back(timer.millis());
+    infer.push_back(p.stats.inferMs);
+    unify.push_back(p.stats.unifyMs);
+    solve.push_back(p.stats.solveMs);
+    rewrite.push_back(p.stats.rewriteMs);
+    loops = p.stats.parallelLoops;
   }
-  state.counters["infer_ms"] = last.inferMs;
-  state.counters["unify_ms"] = last.unifyMs;
-  state.counters["solve_ms"] = last.solveMs;
-  state.counters["rewrite_ms"] = last.rewriteMs;
-  state.counters["loops"] = last.parallelLoops;
-  rows().push_back(Row{name, last});
-}
-
-void BM_Spmv(benchmark::State& state) {
-  benchCompile(state, "SpMV", [] {
-    dpart::apps::SpmvApp::Params p;
-    p.rowsPerPiece = 1024;
-    p.pieces = 4;
-    return std::make_unique<dpart::apps::SpmvApp>(p);
-  });
-}
-
-void BM_Stencil(benchmark::State& state) {
-  benchCompile(state, "Stencil", [] {
-    dpart::apps::StencilApp::Params p;
-    p.rowsPerPiece = 64;
-    p.cols = 64;
-    p.pieces = 4;
-    return std::make_unique<dpart::apps::StencilApp>(p);
-  });
-}
-
-void BM_Circuit(benchmark::State& state) {
-  benchCompile(state, "Circuit", [] {
-    dpart::apps::CircuitApp::Params p;
-    p.pieces = 4;
-    return std::make_unique<dpart::apps::CircuitApp>(p);
-  });
-}
-
-void BM_MiniAero(benchmark::State& state) {
-  benchCompile(state, "MiniAero", [] {
-    dpart::apps::MiniAeroApp::Params p;
-    p.nx = 8;
-    p.ny = 8;
-    p.nzPerPiece = 8;
-    p.pieces = 4;
-    return std::make_unique<dpart::apps::MiniAeroApp>(p);
-  });
-}
-
-void BM_Pennant(benchmark::State& state) {
-  benchCompile(state, "PENNANT", [] {
-    dpart::apps::PennantApp::Params p;
-    p.pieces = 4;
-    return std::make_unique<dpart::apps::PennantApp>(p);
-  });
-}
-
-BENCHMARK(BM_Spmv)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Stencil)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Circuit)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_MiniAero)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Pennant)->Unit(benchmark::kMillisecond);
-
-void printTable() {
-  std::cout << "\n== Table 1: compilation time breakdown (this repro) ==\n";
-  std::cout << std::left << std::setw(12) << "app" << std::setw(14)
-            << "inference" << std::setw(14) << "unify" << std::setw(14)
-            << "solver" << std::setw(14) << "rewrite" << std::setw(8)
-            << "loops" << '\n';
-  // Keep only the last measurement per app (benchmark reruns accumulate).
-  std::map<std::string, Row> dedup;
-  for (const Row& r : rows()) dedup[r.name] = r;
-  for (const char* name :
-       {"SpMV", "Stencil", "Circuit", "MiniAero", "PENNANT"}) {
-    auto it = dedup.find(name);
-    if (it == dedup.end()) continue;
-    const CompileStats& s = it->second.stats;
-    std::cout << std::setw(12) << name << std::setw(14)
-              << (std::to_string(s.inferMs) + "ms") << std::setw(14)
-              << (std::to_string(s.unifyMs) + "ms") << std::setw(14)
-              << (std::to_string(s.solveMs) + "ms") << std::setw(14)
-              << (std::to_string(s.rewriteMs) + "ms") << std::setw(8)
-              << s.parallelLoops << '\n';
-  }
+  return Row{name, median(infer), median(unify), median(solve),
+             median(rewrite), median(plan), loops};
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  printTable();
+int main() {
+  apps::SpmvApp::Params spmv;
+  spmv.rowsPerPiece = 1024;
+  apps::MiniAeroApp::Params miniaero;
+  miniaero.nx = 8;
+  miniaero.ny = 8;
+  miniaero.nzPerPiece = 8;
+  const Row rows[] = {
+      measure<apps::SpmvApp>("SpMV", spmv),
+      measure<apps::StencilApp>("Stencil", {}),
+      measure<apps::CircuitApp>("Circuit", {}),
+      measure<apps::MiniAeroApp>("MiniAero", miniaero),
+      measure<apps::PennantApp>("PENNANT", {}),
+  };
+
+  std::cout << "== Table 1: compilation time breakdown (this repro) ==\n"
+            << "median ms of " << kCompiles
+            << " compiles per app, app construction excluded; 4 pieces\n"
+            << std::left << std::setw(10) << "app" << std::right;
+  for (const char* col : {"infer", "unify", "solve", "rewrite", "plan"}) {
+    std::cout << std::setw(10) << col;
+  }
+  std::cout << std::setw(8) << "loops" << '\n' << std::fixed
+            << std::setprecision(3);
+  for (const Row& r : rows) {
+    std::cout << std::left << std::setw(10) << r.name << std::right;
+    for (double ms : {r.inferMs, r.unifyMs, r.solveMs, r.rewriteMs, r.planMs}) {
+      std::cout << std::setw(10) << ms;
+    }
+    std::cout << std::setw(8) << r.loops << '\n';
+  }
   return 0;
 }

@@ -103,10 +103,7 @@ SimSetup SpmvApp::autoSetup() {
   const parallelize::PlannedLoop& loop = setup.plan.loops[0];
   setup.owners["Y"] = loop.iterPartition;
   for (const auto& [stmtId, sym] : loop.accessPartition) {
-    const ir::Stmt* stmt = nullptr;
-    loop.loop->forEachStmt([&](const ir::Stmt& s) {
-      if (s.id == stmtId) stmt = &s;
-    });
+    const ir::Stmt* stmt = loop.loop->findStmt(stmtId);
     if (stmt->region == "Ranges" || stmt->region == "Mat") {
       setup.owners[stmt->region] = sym;
     }

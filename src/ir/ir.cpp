@@ -125,6 +125,22 @@ void Loop::forEachStmt(const std::function<void(const Stmt&)>& fn) const {
   walk(body);
 }
 
+namespace {
+
+const Stmt* findIn(const std::vector<Stmt>& stmts, int id) {
+  for (const Stmt& s : stmts) {
+    if (s.id == id) return &s;
+    if (s.kind == StmtKind::InnerLoop) {
+      if (const Stmt* inner = findIn(s.body, id)) return inner;
+    }
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+const Stmt* Loop::findStmt(int id) const { return findIn(body, id); }
+
 std::string Loop::toString() const {
   std::ostringstream os;
   os << "loop " << name << ": for (" << loopVar << " in " << iterRegion

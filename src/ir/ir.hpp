@@ -75,6 +75,9 @@ struct Loop {
   [[nodiscard]] int stmtCount() const;
   /// Walks all statements (pre-order, recursing into inner loops).
   void forEachStmt(const std::function<void(const Stmt&)>& fn) const;
+  /// The statement with this id, in the body or an inner loop; nullptr when
+  /// there is none.
+  [[nodiscard]] const Stmt* findStmt(int id) const;
   [[nodiscard]] std::string toString() const;
 };
 

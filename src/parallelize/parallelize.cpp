@@ -133,10 +133,8 @@ std::vector<region::PartitionExpectation> planExpectations(
     for (const auto& [stmtId, rp] : pl.reduces) {
       // Resolve the reduced region for partitions not used as a direct
       // access partition (guard / private / shared symbols).
-      std::string reducedRegion;
-      pl.loop->forEachStmt([&](const ir::Stmt& s) {
-        if (s.id == stmtId) reducedRegion = s.region;
-      });
+      const ir::Stmt* reduced = pl.loop->findStmt(stmtId);
+      const std::string reducedRegion = reduced ? reduced->region : "";
       switch (rp.strategy) {
         case optimize::ReduceStrategy::Direct:
           break;  // covered via the access partition above
@@ -625,15 +623,6 @@ void synthesize(std::vector<LoopState>& loops, const Resolution& res,
       pl.accessPartition[stmtId] = finalName(sym);
     }
 
-    auto stmtOf = [&](int id) {
-      const ir::Stmt* stmt = nullptr;
-      st.loop->forEachStmt([&](const ir::Stmt& s) {
-        if (s.id == id) stmt = &s;
-      });
-      DPART_CHECK(stmt != nullptr);
-      return stmt;
-    };
-
     // In-place ("Direct") reduction needs more than a disjoint partition
     // per access: when several reduce stmts hit the same field through
     // different partitions, task j1's subregion of one partition can
@@ -648,7 +637,8 @@ void synthesize(std::vector<LoopState>& loops, const Resolution& res,
     for (ReducePlan& rp : st.reduction.reduces) {
       rp.partition = finalName(rp.partition);
       if (rp.strategy != ReduceStrategy::Buffered) continue;
-      const ir::Stmt* stmt = stmtOf(rp.stmtId);
+      const ir::Stmt* stmt = st.loop->findStmt(rp.stmtId);
+      DPART_CHECK(stmt != nullptr);
       byField[{stmt->region, stmt->field}].push_back(&rp);
     }
 

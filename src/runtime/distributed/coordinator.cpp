@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 
 #include "ir/ir.hpp"
@@ -18,6 +17,7 @@
 #include "support/check.hpp"
 #include "support/metrics.hpp"
 #include "support/sleep.hpp"
+#include "support/timer.hpp"
 #include "support/trace.hpp"
 
 namespace dpart::runtime::dist {
@@ -28,23 +28,8 @@ using region::Index;
 using region::IndexSet;
 using region::Partition;
 
-std::uint64_t monoMicros() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 std::string fieldKey(const std::string& region, const std::string& field) {
   return region + "." + field;
-}
-
-const ir::Stmt* findStmt(const parallelize::PlannedLoop& loop, int stmtId) {
-  const ir::Stmt* found = nullptr;
-  loop.loop->forEachStmt([&](const ir::Stmt& s) {
-    if (s.id == stmtId) found = &s;
-  });
-  return found;
 }
 
 }  // namespace
@@ -133,7 +118,7 @@ void Coordinator::spawnWorker(std::size_t j) {
   w.controlFd = ctrl[0];
   w.killedByInjector = false;
   ++w.generation;
-  w.lastPongMicros = monoMicros();
+  w.lastPongMicros = monotonicMicros();
   w.dirty.clear();
 }
 
@@ -448,7 +433,7 @@ void Coordinator::applyResults(const parallelize::PlannedLoop& loop,
   // sorted by target index — bitwise-identical floating-point results.
   for (std::size_t j = 0; j < n; ++j) {
     for (const ReduceSlice& rs : results[j].reduces) {
-      const ir::Stmt* stmt = findStmt(loop, static_cast<int>(rs.stmtId));
+      const ir::Stmt* stmt = loop.loop->findStmt(static_cast<int>(rs.stmtId));
       DPART_CHECK(stmt != nullptr,
                   "worker result names unknown reduce stmt " +
                       std::to_string(rs.stmtId));
@@ -532,7 +517,7 @@ LaunchStats Coordinator::runLoop(const parallelize::PlannedLoop& loop) {
       options_.distributed.heartbeatIntervalMicros;
   const std::uint64_t hbTimeout = options_.distributed.heartbeatTimeoutMicros;
   const bool heartbeats = hbInterval > 0 && hbTimeout > 0;
-  std::uint64_t now = monoMicros();
+  std::uint64_t now = monotonicMicros();
   for (Worker& w : workers_) w.lastPongMicros = now;
   std::uint64_t nextPing = now + hbInterval;
 
@@ -603,7 +588,7 @@ LaunchStats Coordinator::runLoop(const parallelize::PlannedLoop& loop) {
   };
 
   while (remaining > 0) {
-    now = monoMicros();
+    now = monotonicMicros();
     if (heartbeats && now >= nextPing) {
       for (std::size_t j = 0; j < n; ++j) {
         if (done[j] || workers_[j].pid < 0) continue;
@@ -694,7 +679,7 @@ LaunchStats Coordinator::runLoop(const parallelize::PlannedLoop& loop) {
                                  options_.distributed.maxFrameBytes,
                                  workers_[j].nodeId, &net_);
           if (frame.has_value() && frame->type == MsgType::Pong) {
-            workers_[j].lastPongMicros = monoMicros();
+            workers_[j].lastPongMicros = monotonicMicros();
             if (mx != nullptr) {
               mx->counter("executor.heartbeat.pongsTotal").inc();
             }

@@ -337,10 +337,7 @@ void PlanExecutor::runLoop(const parallelize::PlannedLoop& loop) {
   for (std::size_t j = 0; j < pieces_; ++j) {
     for (auto& [stmtId, st] : hooks[j]->reduces()) {
       if (st.buffer.empty()) continue;
-      const ir::Stmt* stmt = nullptr;
-      loop.loop->forEachStmt([&](const ir::Stmt& s) {
-        if (s.id == stmtId) stmt = &s;
-      });
+      const ir::Stmt* stmt = loop.loop->findStmt(stmtId);
       DPART_CHECK(stmt != nullptr);
       auto field = world_.region(stmt->region).f64(stmt->field);
       // Sort for determinism across unordered_map iteration orders.

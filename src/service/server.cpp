@@ -7,7 +7,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <string_view>
 #include <utility>
@@ -15,17 +14,11 @@
 #include "runtime/session.hpp"
 #include "support/framing.hpp"
 #include "support/hash.hpp"
+#include "support/timer.hpp"
 
 namespace dpart::service {
 
 namespace {
-
-std::uint64_t nowMicros() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 [[noreturn]] void setupFail(const std::string& what) {
   throw TransportError(0, "plan server: " + what + ": " +
@@ -200,7 +193,7 @@ void PlanServer::acceptLoop() {
     {
       std::lock_guard<std::mutex> lock(queueMutex_);
       if (!stopping_ && queue_.size() < options_.queueCapacity) {
-        queue_.push_back(PendingConn{fd, nowMicros()});
+        queue_.push_back(PendingConn{fd, monotonicMicros()});
         service_.gauge("service.queue.depth")
             .set(static_cast<double>(queue_.size()));
         admitted = true;
@@ -251,7 +244,8 @@ void PlanServer::serveConnection(PendingConn conn) {
   service_
       .histogram("service.queueWaitMs",
                  {0.1, 0.5, 1, 5, 10, 50, 100, 500, 1000, 5000})
-      .observe(static_cast<double>(nowMicros() - conn.enqueuedMicros) / 1000.0);
+      .observe(static_cast<double>(monotonicMicros() - conn.enqueuedMicros) /
+               1000.0);
   while (true) {
     {
       std::lock_guard<std::mutex> lock(queueMutex_);
@@ -342,7 +336,7 @@ void PlanServer::sendError(int fd, ErrorCode code, const std::string& what) {
 
 void PlanServer::handleRequest(int fd,
                                const std::vector<std::uint8_t>& payload) {
-  const std::uint64_t t0 = nowMicros();
+  const std::uint64_t t0 = monotonicMicros();
   std::string tenant;
   try {
     PlanRequest req;
@@ -380,7 +374,8 @@ void PlanServer::handleRequest(int fd,
         // populated the memo, not this one.
         resp.inferMs = resp.canonMs = resp.unifyMs = resp.solveMs =
             resp.rewriteMs = 0;
-        resp.serverMs = static_cast<double>(nowMicros() - t0) / 1000.0;
+        resp.serverMs =
+            static_cast<double>(monotonicMicros() - t0) / 1000.0;
 
         service_.counter("service.requests").inc();
         service_.counter("service.cache.hits").inc();
@@ -447,7 +442,7 @@ void PlanServer::handleRequest(int fd,
     for (const std::string& s : plan.parallelPlan().externalSymbols) {
       resp.externalSymbols.push_back(s);
     }
-    resp.serverMs = static_cast<double>(nowMicros() - t0) / 1000.0;
+    resp.serverMs = static_cast<double>(monotonicMicros() - t0) / 1000.0;
 
     if (memoEnabled) responseCacheInsert(memoKey, resp);
 

@@ -5,12 +5,12 @@
 
 #include <array>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <string>
 
 #include "support/check.hpp"
 #include "support/serialize.hpp"
+#include "support/timer.hpp"
 
 namespace dpart::framing {
 
@@ -46,24 +46,17 @@ std::uint64_t getU64(const std::uint8_t* in) {
                        std::move(ctx));
 }
 
-std::uint64_t nowMicros() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 /// Reads exactly n bytes under the deadline. Returns false on EOF before
 /// the first byte when allowEof; throws TransportError otherwise.
 bool readFully(int fd, std::uint8_t* buf, std::size_t n,
                std::uint64_t timeoutMicros, std::size_t node, bool allowEof) {
   const std::uint64_t deadline =
-      timeoutMicros == 0 ? 0 : nowMicros() + timeoutMicros;
+      timeoutMicros == 0 ? 0 : monotonicMicros() + timeoutMicros;
   std::size_t got = 0;
   while (got < n) {
     int waitMs = -1;
     if (deadline != 0) {
-      const std::uint64_t now = nowMicros();
+      const std::uint64_t now = monotonicMicros();
       if (now >= deadline) {
         transportFail(node, "recv timed out after " +
                                 std::to_string(timeoutMicros) + "us (" +

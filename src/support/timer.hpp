@@ -1,6 +1,7 @@
 #pragma once
 
 #include <chrono>
+#include <cstdint>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <time.h>
@@ -27,6 +28,15 @@ class Timer {
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
 };
+
+/// Microseconds on the same monotonic clock as Timer, from its arbitrary
+/// epoch: for deadlines, heartbeats and latencies that cross function calls.
+inline std::uint64_t monotonicMicros() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
 
 /// Per-thread CPU-time stopwatch: counts only cycles the *calling thread*
 /// actually executed, so a task's cost reads the same whether the thread

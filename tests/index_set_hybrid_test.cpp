@@ -87,7 +87,9 @@ void auditAgainstModel(const IndexSet& s, const Model& m) {
   const auto runs = s.runs();
   for (std::size_t i = 0; i < runs.size(); ++i) {
     ASSERT_LT(runs[i].lo, runs[i].hi);
-    if (i > 0) ASSERT_LT(runs[i - 1].hi, runs[i].lo);
+    if (i > 0) {
+      ASSERT_LT(runs[i - 1].hi, runs[i].lo);
+    }
     covered += runs[i].size();
   }
   ASSERT_EQ(covered, s.size());
