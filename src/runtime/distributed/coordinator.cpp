@@ -13,7 +13,6 @@
 #include "ir/ir.hpp"
 #include "runtime/distributed/worker.hpp"
 #include "runtime/executor.hpp"
-#include "runtime/task_exec.hpp"
 #include "support/check.hpp"
 #include "support/metrics.hpp"
 #include "support/sleep.hpp"
@@ -40,17 +39,6 @@ Coordinator::Coordinator(region::World& world,
     : world_(world), plan_(plan), options_(options) {}
 
 Coordinator::~Coordinator() { shutdown(); }
-
-void Coordinator::countError(const char* kind) const {
-  if (options_.observability.metrics != nullptr) {
-    options_.observability.metrics->counter("errorsTotal", {{"kind", kind}})
-        .inc();
-  }
-}
-
-void Coordinator::sleepFor(std::uint64_t micros) const {
-  sleepOrHook(options_.resilience.sleepMicros, micros);
-}
 
 void Coordinator::ensureWorkers(
     const std::map<std::string, Partition>& env,
@@ -153,7 +141,7 @@ void Coordinator::shutdown() {
 }
 
 std::vector<FieldSlice> Coordinator::buildRefresh(
-    const parallelize::PlannedLoop& loop, std::size_t j) {
+    const parallelize::PlannedLoop& loop, std::size_t j, const IndexSet* own) {
   Worker& w = workers_[j];
   if (w.dirty.empty()) return {};
 
@@ -184,12 +172,7 @@ std::vector<FieldSlice> Coordinator::buildRefresh(
       addNeed(s.region, s.field, world_.region(s.region).indexSpace());
     }
   });
-  const Partition& iter = env_->at(loop.iterPartition);
-  std::vector<IndexSet> ownership;
-  const bool needOwnership = hasCenteredWrite(loop) && !iter.isDisjoint();
-  if (needOwnership) ownership = disjointify(iter);
-  const IndexSet* own = needOwnership ? &ownership[j] : nullptr;
-  TaskFootprint footprint = buildFootprint(world_, loop, j, *env_, own);
+  const TaskFootprint footprint = buildFootprint(world_, loop, j, *env_, own);
   for (const TaskFootprint::Patch& p : footprint.patches()) {
     addNeed(p.region, p.field, p.indices);
   }
@@ -200,25 +183,16 @@ std::vector<FieldSlice> Coordinator::buildRefresh(
     if (dit == w.dirty.end()) continue;
     IndexSet stale = set.intersectWith(dit->second);
     if (stale.empty()) continue;
-    FieldSlice slice;
-    slice.region = key.first;
-    slice.field = key.second;
-    auto column = world_.region(slice.region).f64(slice.field);
-    slice.values.reserve(static_cast<std::size_t>(stale.size()));
-    stale.forEach([&](Index i) {
-      slice.values.push_back(column[static_cast<std::size_t>(i)]);
-    });
     dit->second = dit->second.subtract(stale);
     if (dit->second.empty()) w.dirty.erase(dit);
-    slice.indices = std::move(stale);
-    out.push_back(std::move(slice));
+    out.push_back(gatherSlice(world_, key.first, key.second, std::move(stale)));
   }
   return out;
 }
 
 void Coordinator::sendTask(std::size_t j, const parallelize::PlannedLoop& loop,
-                           std::uint64_t seq, LaunchStats& stats,
-                           bool countGhost) {
+                           std::uint64_t seq, std::vector<FieldSlice> refresh,
+                           LaunchStats* ghost) {
   Worker& w = workers_[j];
   if (w.pid < 0) {
     ErrorContext ctx;
@@ -230,10 +204,10 @@ void Coordinator::sendTask(std::size_t j, const parallelize::PlannedLoop& loop,
   msg.seq = seq;
   msg.loop = loop.loop->name;
   msg.piece = j;
-  msg.refresh = buildRefresh(loop, j);
-  if (countGhost) {
-    stats.ghostElems += sliceElements(msg.refresh);
-    stats.ghostMessages += msg.refresh.size();
+  msg.refresh = std::move(refresh);
+  if (ghost != nullptr) {
+    ghost->ghostElems += sliceElements(msg.refresh);
+    ghost->ghostMessages += msg.refresh.size();
   }
   // A "net:<loop>:<piece>" Poison site puts a genuinely corrupt frame on
   // the wire: the payload is damaged after the CRC is computed, the worker
@@ -252,97 +226,6 @@ void Coordinator::sendTask(std::size_t j, const parallelize::PlannedLoop& loop,
   }
   sendFrame(w.dataFd, MsgType::Task, encodeTask(msg), w.nodeId, &net_,
             tamper);
-}
-
-void Coordinator::fireTaskFaults(const parallelize::PlannedLoop& loop,
-                                 std::size_t j, LaunchStats& stats) {
-  FaultInjector* injector = options_.resilience.faultInjector;
-  if (injector == nullptr) return;
-  Worker& w = workers_[j];
-  const std::size_t nodeId = w.nodeId;
-  const std::string site =
-      "task:" + loop.loop->name + ":" + std::to_string(j);
-  const std::string nodeSite = "node:" + std::to_string(nodeId);
-  Tracer* tr = options_.observability.tracer;
-  for (int attempt = 0;; ++attempt) {
-    if (auto fault = injector->fire(nodeSite);
-        fault && fault->kind == FaultKind::PermanentCrash) {
-      // The real thing: SIGKILL the worker process, then escalate as
-      // NodeLossError so only a checkpoint restore with the node removed
-      // (elastic shrink) recovers. The launch has applied nothing to the
-      // coordinator's World, so there is no partial state to roll back.
-      w.killedByInjector = true;
-      if (w.pid >= 0) ::kill(w.pid, SIGKILL);
-      if (tr != nullptr && tr->enabled()) {
-        tr->instant("dist", "node.kill",
-                    "\"node\":" + std::to_string(nodeId) +
-                        ",\"pid\":" + std::to_string(w.pid));
-      }
-      destroyWorker(j, /*sendShutdown=*/false);
-      ErrorContext ctx;
-      ctx.site = nodeSite;
-      ctx.loop = loop.loop->name;
-      ctx.piece = static_cast<int>(j);
-      ctx.attempt = attempt;
-      throw NodeLossError(nodeId, "injected fault: node lost permanently",
-                          std::move(ctx));
-    }
-    auto fault = injector->fire(site);
-    if (!fault) return;
-    ErrorContext ctx;
-    ctx.site = site;
-    ctx.loop = loop.loop->name;
-    ctx.piece = static_cast<int>(j);
-    ctx.attempt = attempt;
-    switch (fault->kind) {
-      case FaultKind::Straggler:
-        stats.stallMicros += fault->stragglerMicros;
-        sleepFor(fault->stragglerMicros);
-        return;
-      case FaultKind::PermanentCrash: {
-        w.killedByInjector = true;
-        if (w.pid >= 0) ::kill(w.pid, SIGKILL);
-        destroyWorker(j, /*sendShutdown=*/false);
-        throw NodeLossError(nodeId, "injected fault: node lost permanently",
-                            std::move(ctx));
-      }
-      case FaultKind::CorruptCheckpoint:
-        return;  // only meaningful at checkpoint:write sites
-      case FaultKind::Poison:
-      case FaultKind::Crash: {
-        const char* what = fault->kind == FaultKind::Poison
-                               ? "injected fault: task result poisoned"
-                               : "injected fault: task crashed mid-run";
-        countError("TaskFailure");
-        // Replay is trivial here: the fault fired before dispatch, so no
-        // worker-side state exists to restore — same observable outcome as
-        // the in-process footprint snapshot/restore cycle.
-        if (!options_.resilience.taskReplay) {
-          throw TaskFailure(what, std::move(ctx));
-        }
-        if (attempt >= options_.resilience.maxTaskRetries) {
-          const TaskFailure inner(what, std::move(ctx));
-          ErrorContext outer = inner.context();
-          outer.attempt = attempt;
-          throw TaskFailure(std::string("task failed after ") +
-                                std::to_string(attempt + 1) +
-                                " attempt(s): " + inner.what(),
-                            std::move(outer));
-        }
-        ++stats.replays;
-        if (tr != nullptr && tr->enabled()) {
-          tr->instant("executor", "task.replay",
-                      "\"site\":\"" + jsonEscape(site) +
-                          "\",\"node\":" + std::to_string(nodeId) +
-                          ",\"attempt\":" + std::to_string(attempt));
-        }
-        if (options_.resilience.retryBackoffMicros > 0) {
-          sleepFor(options_.resilience.retryBackoffMicros << attempt);
-        }
-        continue;
-      }
-    }
-  }
 }
 
 void Coordinator::recoverWorker(std::size_t j,
@@ -386,19 +269,18 @@ void Coordinator::recoverWorker(std::size_t j,
                       ",\"backoff_us\":" + std::to_string(backoff) +
                       ",\"why\":\"" + jsonEscape(why) + "\"");
     }
-    sleepFor(backoff);
+    sleepOrHook(options_.resilience.sleepMicros, backoff);
     destroyWorker(j, /*sendShutdown=*/false);
     spawnWorker(j);
     try {
       // The respawned worker is a fresh copy-on-write snapshot of the
       // coordinator (results are only applied after the full launch
       // collects), so the resent task needs no refresh slices.
-      LaunchStats ignore;
-      sendTask(j, loop, launchSeq_, ignore, /*countGhost=*/false);
+      sendTask(j, loop, launchSeq_, {}, /*ghost=*/nullptr);
       if (mx != nullptr) mx->counter("executor.net.retriesTotal").inc();
       return;
     } catch (const TransportError&) {
-      countError("TransportError");
+      countError(options_, "TransportError");
     }
   }
 }
@@ -412,47 +294,37 @@ void Coordinator::applyResults(const parallelize::PlannedLoop& loop,
     IndexSet& d = workers_[m].dirty[fieldKey(region, field)];
     d = d.unionWith(set);
   };
-  // In-place write-backs first (disjoint across tasks by the plan's
-  // legality properties), in piece order — these cells were written during
-  // task execution in the in-process backend, before any buffer merge.
+  // In-place write-backs (disjoint across tasks by the plan's legality
+  // properties), in piece order — these cells were written during task
+  // execution in the in-process backend, before any buffer merge.
   for (std::size_t j = 0; j < n; ++j) {
     for (const FieldSlice& s : results[j].writes) {
-      auto column = world_.region(s.region).f64(s.field);
-      std::size_t k = 0;
-      s.indices.forEach([&](Index i) {
-        column[static_cast<std::size_t>(i)] = s.values[k++];
-      });
+      applySlice(world_, s);
       // Every other worker's fork now disagrees with these cells.
       for (std::size_t m = 0; m < n; ++m) {
         if (m != j) markDirty(m, s.region, s.field, s.indices);
       }
     }
   }
-  // Then buffered-reduction merges in exactly the in-process order: piece
-  // ascending, stmtId ascending (the worker emits a std::map), entries
-  // sorted by target index — bitwise-identical floating-point results.
+  // The buffered contributions go to the executor's launch tail. The cells
+  // they merge into are stale on EVERY fork, including the contributor's:
+  // its local copy buffered the contribution without applying it.
+  stats.buffered.resize(n);
   for (std::size_t j = 0; j < n; ++j) {
     for (const ReduceSlice& rs : results[j].reduces) {
       const ir::Stmt* stmt = loop.loop->findStmt(static_cast<int>(rs.stmtId));
       DPART_CHECK(stmt != nullptr,
                   "worker result names unknown reduce stmt " +
                       std::to_string(rs.stmtId));
-      auto column = world_.region(stmt->region).f64(stmt->field);
       std::vector<Index> touched;
       touched.reserve(rs.entries.size());
-      for (const auto& [target, value] : rs.entries) {
-        double& cell = column[static_cast<std::size_t>(target)];
-        cell = ir::applyReduce(static_cast<ir::ReduceOp>(rs.op), cell, value);
-        touched.push_back(target);
-      }
-      // Merged cells are stale on EVERY fork, including the contributor's:
-      // its local copy buffered the contribution without applying it.
+      for (const auto& entry : rs.entries) touched.push_back(entry.first);
       const IndexSet touchedSet = IndexSet::fromIndices(std::move(touched));
       for (std::size_t m = 0; m < n; ++m) {
         markDirty(m, stmt->region, stmt->field, touchedSet);
       }
-      stats.bufferedElements += rs.entries.size();
     }
+    stats.buffered[j] = std::move(results[j].reduces);
     stats.taskSeconds[j] = results[j].taskSeconds;
   }
 }
@@ -471,7 +343,8 @@ void Coordinator::publishNetMetrics() {
   publishedNet_ = net_;
 }
 
-LaunchStats Coordinator::runLoop(const parallelize::PlannedLoop& loop) {
+LaunchStats Coordinator::runLoop(const parallelize::PlannedLoop& loop,
+                                 FaultTally& tally) {
   DPART_CHECK(spawned_, "ensureWorkers() must precede runLoop()");
   const std::size_t n = pieces();
   LaunchStats stats;
@@ -480,20 +353,40 @@ LaunchStats Coordinator::runLoop(const parallelize::PlannedLoop& loop) {
   MetricsRegistry* mx = options_.observability.metrics;
   Tracer* tr = options_.observability.tracer;
 
-  // Coordinator-side fault sites fire before dispatch (in-process arrival
-  // order: node site, then task site, per attempt), so "node:<id>" maps to
-  // a real SIGKILL and task replays re-roll the injector without any
-  // worker-side state to unwind.
-  for (std::size_t j = 0; j < n; ++j) fireTaskFaults(loop, j, stats);
+  // Every task's fault sites fire before any dispatch. Nothing has run
+  // yet, so a crash has no prefix to land and a replay no worker-side state
+  // to restore; a node loss is a real SIGKILL of the worker process, and
+  // the launch has applied nothing to the coordinator's World to roll back.
+  const auto nothing = [] {};
+  for (std::size_t j = 0; j < n; ++j) {
+    Worker& w = workers_[j];
+    auto killWorker = [this, &w, j, tr] {
+      w.killedByInjector = true;
+      if (w.pid >= 0) ::kill(w.pid, SIGKILL);
+      if (tr != nullptr && tr->enabled()) {
+        tr->instant("dist", "node.kill",
+                    "\"node\":" + std::to_string(w.nodeId) +
+                        ",\"pid\":" + std::to_string(w.pid));
+      }
+      destroyWorker(j, /*sendShutdown=*/false);
+    };
+    runTaskAttempts(options_, loop.loop->name, j, w.nodeId, tally,
+                    TaskEffects{.run = nothing,
+                                .prefix = [](double) {},
+                                .kill = killWorker,
+                                .poison = nothing,
+                                .restore = nothing});
+  }
 
   // Dispatch: refresh slices (the ghost exchange) + launch order, with a
   // bounded respawn-and-resend path for transient transport failures.
+  const OwnershipGuards guards(loop, env_->at(loop.iterPartition));
   int reconnects = 0;
   for (std::size_t j = 0; j < n; ++j) {
     try {
-      sendTask(j, loop, seq, stats, /*countGhost=*/true);
+      sendTask(j, loop, seq, buildRefresh(loop, j, guards.of(j)), &stats);
     } catch (const TransportError&) {
-      countError("TransportError");
+      countError(options_, "TransportError");
       recoverWorker(j, loop, reconnects, "task dispatch failed");
     }
   }
@@ -527,7 +420,7 @@ LaunchStats Coordinator::runLoop(const parallelize::PlannedLoop& loop) {
                            options_.distributed.maxFrameBytes, w.nodeId,
                            &net_);
     if (!frame.has_value()) {
-      countError("TransportError");
+      countError(options_, "TransportError");
       recoverWorker(j, loop, reconnects, "worker closed its data channel");
       return;
     }
@@ -537,7 +430,7 @@ LaunchStats Coordinator::runLoop(const parallelize::PlannedLoop& loop) {
         BinaryReader r(frame->payload);
         res = decodeResult(r);
       } catch (const CheckpointCorruption& e) {
-        countError("TransportError");
+        countError(options_, "TransportError");
         recoverWorker(j, loop, reconnects,
                       std::string("malformed Result payload: ") + e.what());
         return;
@@ -545,7 +438,7 @@ LaunchStats Coordinator::runLoop(const parallelize::PlannedLoop& loop) {
       if (res.seq != seq || res.piece != j) {
         // A stale or reordered acknowledgment; the worker's stream is no
         // longer trustworthy for this launch.
-        countError("TransportError");
+        countError(options_, "TransportError");
         recoverWorker(j, loop, reconnects, "out-of-order Result frame");
         return;
       }
@@ -560,7 +453,7 @@ LaunchStats Coordinator::runLoop(const parallelize::PlannedLoop& loop) {
         BinaryReader r(frame->payload);
         err = decodeTaskError(r);
       } catch (const CheckpointCorruption& e) {
-        countError("TransportError");
+        countError(options_, "TransportError");
         recoverWorker(j, loop, reconnects,
                       std::string("malformed TaskError payload: ") + e.what());
         return;
@@ -578,10 +471,10 @@ LaunchStats Coordinator::runLoop(const parallelize::PlannedLoop& loop) {
         throw PartitionViolation("worker reported: " + err.what,
                                  std::move(ctx));
       }
-      countError("TaskFailure");
+      countError(options_, "TaskFailure");
       throw TaskFailure("worker reported: " + err.what, std::move(ctx));
     }
-    countError("TransportError");
+    countError(options_, "TransportError");
     recoverWorker(j, loop, reconnects,
                   std::string("unexpected ") + toString(frame->type) +
                       " frame on the data channel");
@@ -646,7 +539,7 @@ LaunchStats Coordinator::runLoop(const parallelize::PlannedLoop& loop) {
       // Every undone worker is dead with no fd to watch; recover them.
       for (std::size_t j = 0; j < n; ++j) {
         if (!done[j] && workers_[j].pid < 0) {
-          countError("TransportError");
+          countError(options_, "TransportError");
           recoverWorker(j, loop, reconnects, "worker process is gone");
         }
       }
@@ -692,7 +585,7 @@ LaunchStats Coordinator::runLoop(const parallelize::PlannedLoop& loop) {
         try {
           handleData(j);
         } catch (const TransportError& e) {
-          countError("TransportError");
+          countError(options_, "TransportError");
           recoverWorker(j, loop, reconnects, e.what());
         }
         // A respawn replaced fds; the rest of this poll round is stale.

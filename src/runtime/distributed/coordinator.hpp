@@ -13,19 +13,9 @@
 #include "region/world.hpp"
 #include "runtime/options.hpp"
 #include "runtime/distributed/wire.hpp"
+#include "runtime/task_exec.hpp"
 
 namespace dpart::runtime::dist {
-
-/// What one distributed launch did, folded back into the executor's
-/// resilience/observability tallies so both backends report identically.
-struct LaunchStats {
-  std::vector<double> taskSeconds;     ///< per piece, worker CPU seconds
-  std::size_t bufferedElements = 0;    ///< reduction-buffer entries merged
-  std::size_t replays = 0;             ///< injected-fault task replays
-  std::uint64_t stallMicros = 0;       ///< injected straggler stalls
-  std::uint64_t ghostElems = 0;        ///< refresh elements shipped
-  std::uint64_t ghostMessages = 0;     ///< non-empty refresh slices shipped
-};
 
 /// The coordinator of the multi-process shared-nothing backend
 /// (docs/distributed-backend.md).
@@ -38,11 +28,12 @@ struct LaunchStats {
 /// keyed on the executor's prepare epoch.
 ///
 /// Launches are atomic: all tasks are dispatched, all results collected,
-/// and only then are write-backs applied and reduction buffers merged into
-/// the coordinator's World, in exactly the in-process merge order. An
-/// escalation (NodeLossError, TaskFailure, PartitionViolation) before the
-/// apply leaves the World untouched, so the executor's existing
-/// checkpoint-restore / elastic-shrink recovery works unchanged.
+/// and only then are write-backs applied to the coordinator's World; the
+/// buffered contributions go back to the executor, whose launch tail merges
+/// them exactly as it does in-process. An escalation (NodeLossError,
+/// TaskFailure, PartitionViolation) before the apply leaves the World
+/// untouched, so the executor's existing checkpoint-restore /
+/// elastic-shrink recovery works unchanged.
 ///
 /// Liveness: the coordinator pings every busy worker's control channel at
 /// heartbeatIntervalMicros; a worker that misses pongs for
@@ -69,10 +60,12 @@ class Coordinator {
                      const std::vector<std::size_t>& liveNodes,
                      std::uint64_t prepareEpoch);
 
-  /// Runs one loop launch across the fleet (see class comment). Throws
+  /// Runs one loop launch across the fleet (see class comment), counting
+  /// replays and injected stalls into `tally` as they happen. Throws
   /// NodeLossError / TaskFailure / PartitionViolation with the same
   /// semantics as the in-process executor.
-  [[nodiscard]] LaunchStats runLoop(const parallelize::PlannedLoop& loop);
+  [[nodiscard]] LaunchStats runLoop(const parallelize::PlannedLoop& loop,
+                                    FaultTally& tally);
 
   /// Shuts the fleet down (Shutdown frame, then SIGKILL, then reap). Safe
   /// to call repeatedly; the destructor calls it.
@@ -120,20 +113,19 @@ class Coordinator {
   /// deliberate (killedByInjector / heartbeat timeout).
   void recoverWorker(std::size_t j, const parallelize::PlannedLoop& loop,
                      int& reconnects, const std::string& why);
+  /// The stale cells worker j's task may read or ship back, under piece
+  /// j's ownership guard `own`.
   [[nodiscard]] std::vector<FieldSlice> buildRefresh(
-      const parallelize::PlannedLoop& loop, std::size_t j);
+      const parallelize::PlannedLoop& loop, std::size_t j,
+      const region::IndexSet* own);
+  /// Sends task j with its refresh slices; counts them as ghost traffic
+  /// into `ghost` when set.
   void sendTask(std::size_t j, const parallelize::PlannedLoop& loop,
-                std::uint64_t seq, LaunchStats& stats, bool countGhost);
-  /// Fires the coordinator-side "node:"/"task:" fault sites for piece j,
-  /// mirroring the in-process replay semantics. Returns the number of
-  /// replays simulated.
-  void fireTaskFaults(const parallelize::PlannedLoop& loop, std::size_t j,
-                      LaunchStats& stats);
+                std::uint64_t seq, std::vector<FieldSlice> refresh,
+                LaunchStats* ghost);
   void applyResults(const parallelize::PlannedLoop& loop,
                     std::vector<ResultMsg>& results, LaunchStats& stats);
   void publishNetMetrics();
-  void countError(const char* kind) const;
-  void sleepFor(std::uint64_t micros) const;
   [[nodiscard]] std::size_t pieces() const { return workers_.size(); }
 
   region::World& world_;

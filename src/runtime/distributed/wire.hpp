@@ -4,10 +4,9 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "region/index_set.hpp"
+#include "runtime/task_exec.hpp"
 #include "support/check.hpp"
 #include "support/framing.hpp"
 #include "support/serialize.hpp"
@@ -66,17 +65,11 @@ void sendFrame(int fd, MsgType type, std::span<const std::uint8_t> payload,
                                              std::size_t node,
                                              NetCounters* counters = nullptr);
 
-/// One (region, field) slice of F64 column data with its index set —
-/// the unit of both ghost refresh (coordinator -> worker) and write-back
-/// (worker -> coordinator). Values are bit-exact: doubles travel as their
-/// IEEE-754 bit patterns (BinaryWriter::f64), which is what makes the
-/// multi-process backend bitwise identical to the in-process one.
-struct FieldSlice {
-  std::string region;
-  std::string field;
-  region::IndexSet indices;
-  std::vector<double> values;  ///< one per index, in ascending index order
-};
+/// The payload units, defined by the launch core both backends share:
+/// a field slice (refresh and write-back) and one reduce statement's
+/// buffered contributions.
+using runtime::FieldSlice;
+using runtime::ReduceSlice;
 
 /// Launch order for one task (Task payload).
 struct TaskMsg {
@@ -84,15 +77,6 @@ struct TaskMsg {
   std::string loop;         ///< planned loop name
   std::uint64_t piece = 0;  ///< task index j
   std::vector<FieldSlice> refresh;  ///< stale cells to overwrite before run
-};
-
-/// One reduce statement's buffered contributions (Result payload).
-struct ReduceSlice {
-  std::int64_t stmtId = 0;
-  std::uint8_t op = 0;  ///< ir::ReduceOp
-  /// (target, accumulated value), sorted by target — the order the
-  /// in-process merge applies.
-  std::vector<std::pair<region::Index, double>> entries;
 };
 
 /// Task outcome (Result payload).

@@ -2,9 +2,7 @@
 
 #include <poll.h>
 
-#include <algorithm>
 #include <cerrno>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -17,9 +15,6 @@
 namespace dpart::runtime::dist {
 
 namespace {
-
-using region::Index;
-using region::IndexSet;
 
 /// Blocks until `fd` is readable or hung up (no deadline: idle waits
 /// between frames are the coordinator's to supervise, via heartbeats).
@@ -53,19 +48,6 @@ void heartbeatLoop(const WorkerConfig& cfg) {
   }
 }
 
-/// Overwrites the worker's stale cells with the coordinator's
-/// authoritative values (the explicit ghost-region exchange).
-void applyRefresh(region::World& world,
-                  const std::vector<FieldSlice>& refresh) {
-  for (const FieldSlice& s : refresh) {
-    auto column = world.region(s.region).f64(s.field);
-    std::size_t k = 0;
-    s.indices.forEach([&](Index i) {
-      column[static_cast<std::size_t>(i)] = s.values[k++];
-    });
-  }
-}
-
 const parallelize::PlannedLoop* findLoop(const parallelize::ParallelPlan& plan,
                                          const std::string& name) {
   for (const parallelize::PlannedLoop& pl : plan.loops) {
@@ -86,18 +68,17 @@ ResultMsg runTask(const WorkerConfig& cfg, const TaskMsg& task) {
   const region::Partition& iter = env.at(loop->iterPartition);
   DPART_CHECK(j < iter.count(), "task piece out of range");
 
-  applyRefresh(*cfg.world, task.refresh);
+  // Overwrite the stale cells with the coordinator's authoritative values
+  // (the explicit ghost-region exchange).
+  for (const FieldSlice& s : task.refresh) applySlice(*cfg.world, s);
 
-  // Ownership guards, hooks and footprints are derived exactly as in the
-  // in-process path — from the same (fork-inherited) partitions, so both
+  // Ownership guards, hooks and footprints come from the in-process path's
+  // own functions over the same (fork-inherited) partitions, so both
   // backends make identical write/skip decisions.
-  std::vector<IndexSet> ownership;
-  const bool needOwnership = hasCenteredWrite(*loop) && !iter.isDisjoint();
-  if (needOwnership) ownership = disjointify(iter);
-  const IndexSet* own = needOwnership ? &ownership[j] : nullptr;
-
-  TaskFootprint footprint = buildFootprint(*cfg.world, *loop, j, env, own);
-  TaskHooks hooks(*loop, j, env, cfg.validateAccesses, own);
+  const OwnershipGuards guards(*loop, iter);
+  const TaskFootprint footprint =
+      buildFootprint(*cfg.world, *loop, j, env, guards.of(j));
+  TaskHooks hooks(*loop, j, env, cfg.validateAccesses, guards.of(j));
   ir::LoopRunner runner(*cfg.world, *loop->loop);
   runner.run(iter.sub(j), &hooks);
 
@@ -105,27 +86,10 @@ ResultMsg runTask(const WorkerConfig& cfg, const TaskMsg& task) {
   result.seq = task.seq;
   result.piece = task.piece;
   for (const TaskFootprint::Patch& p : footprint.patches()) {
-    FieldSlice slice;
-    slice.region = p.region;
-    slice.field = p.field;
-    slice.indices = p.indices;
-    slice.values.reserve(static_cast<std::size_t>(p.indices.size()));
-    p.indices.forEach([&](Index i) {
-      slice.values.push_back(p.column[static_cast<std::size_t>(i)]);
-    });
-    result.writes.push_back(std::move(slice));
+    result.writes.push_back(
+        gatherSlice(*cfg.world, p.region, p.field, p.indices));
   }
-  // reduces() is a std::map keyed by stmt id, so slices arrive sorted the
-  // way the deterministic merge iterates them.
-  for (auto& [stmtId, st] : hooks.reduces()) {
-    if (st.buffer.empty()) continue;
-    ReduceSlice rs;
-    rs.stmtId = stmtId;
-    rs.op = static_cast<std::uint8_t>(st.op);
-    rs.entries.assign(st.buffer.begin(), st.buffer.end());
-    std::sort(rs.entries.begin(), rs.entries.end());
-    result.reduces.push_back(std::move(rs));
-  }
+  result.reduces = hooks.contributions();
   result.taskSeconds = timer.seconds();
   return result;
 }

@@ -2,18 +2,15 @@
 
 #include <algorithm>
 #include <memory>
-#include <unordered_map>
+#include <optional>
 
 #include "runtime/distributed/coordinator.hpp"
-#include "runtime/task_exec.hpp"
 #include "support/check.hpp"
 #include "support/sleep.hpp"
 #include "support/timer.hpp"
 
 namespace dpart::runtime {
 
-using optimize::ReduceStrategy;
-using region::Index;
 using region::IndexSet;
 using region::Partition;
 
@@ -43,8 +40,7 @@ PlanExecutor::PlanExecutor(region::World& world,
   if (!options_.checkpoint.dir.empty()) {
     DPART_CHECK(options_.checkpoint.everyNLaunches >= 1,
                 "CheckpointOptions::everyNLaunches must be at least 1");
-    checkpoints_ = std::make_unique<CheckpointManager>(
-        options_.checkpoint.dir, options_.checkpoint.retain);
+    checkpoints_ = std::make_unique<CheckpointManager>(options_.checkpoint.dir);
     planHash_ = CheckpointManager::hashPlan(plan_);
   }
   if (options_.adaptive.enabled) {
@@ -61,17 +57,10 @@ PlanExecutor::PlanExecutor(region::World& world,
 
 PlanExecutor::~PlanExecutor() = default;
 
-void PlanExecutor::countError(const char* kind) const {
-  if (options_.observability.metrics != nullptr) {
-    options_.observability.metrics->counter("errorsTotal", {{"kind", kind}})
-        .inc();
-  }
-}
-
 void PlanExecutor::publishMetrics() const {
   MetricsRegistry* mx = options_.observability.metrics;
   if (mx == nullptr) return;
-  mx->gauge("executor.taskReplays").set(static_cast<double>(replays_.load()));
+  mx->gauge("executor.taskReplays").set(static_cast<double>(taskReplays()));
   mx->gauge("executor.checkpointRestores")
       .set(static_cast<double>(checkpointRestores_));
   mx->gauge("executor.elasticShrinks")
@@ -93,10 +82,6 @@ void PlanExecutor::bindExternal(const std::string& name,
   evaluator_.bind(name, std::move(partition));
 }
 
-void PlanExecutor::sleepFor(std::uint64_t micros) const {
-  sleepOrHook(options_.resilience.sleepMicros, micros);
-}
-
 void PlanExecutor::preparePartitions() {
   if (prepared_) return;
   DPART_TRACE_SPAN(tracer(), "executor", "preparePartitions");
@@ -113,7 +98,7 @@ void PlanExecutor::preparePartitions() {
   try {
     evaluator_.run(activeProgram());
   } catch (const EvalFailure&) {
-    countError("EvalFailure");
+    countError(options_, "EvalFailure");
     throw;
   }
   prepared_ = true;
@@ -151,16 +136,16 @@ void PlanExecutor::runLoop(const parallelize::PlannedLoop& loop) {
     const std::string site = "loop:" + loop.loop->name;
     if (auto fault = options_.resilience.faultInjector->fire(site)) {
       if (fault->kind == FaultKind::Straggler) {
-        stallMicros_.fetch_add(fault->stragglerMicros,
-                               std::memory_order_relaxed);
-        sleepFor(fault->stragglerMicros);
+        tally_.stallMicros.fetch_add(fault->stragglerMicros,
+                                     std::memory_order_relaxed);
+        sleepOrHook(options_.resilience.sleepMicros, fault->stragglerMicros);
       } else if (fault->kind != FaultKind::CorruptCheckpoint) {
         // Loop-level faults fire before any task mutates state, so there is
         // nothing to roll back — the launch simply failed.
         ErrorContext ctx;
         ctx.site = site;
         ctx.loop = loop.loop->name;
-        countError("TaskFailure");
+        countError(options_, "TaskFailure");
         throw TaskFailure("injected fault: loop launch failed",
                           std::move(ctx));
       }
@@ -171,53 +156,70 @@ void PlanExecutor::runLoop(const parallelize::PlannedLoop& loop) {
   DPART_CHECK(iter.count() == pieces_,
               "iteration partition piece count mismatch");
 
-  if (options_.distributed.backend == ExecBackend::MultiProcess) {
-    runLoopDistributed(loop, launchSpan);
-    return;
+  const bool multiProcess =
+      options_.distributed.backend == ExecBackend::MultiProcess;
+  const std::size_t replaysBefore = tally_.replays.load();
+  LaunchStats stats;
+  try {
+    if (multiProcess) {
+      if (coordinator_ == nullptr) {
+        coordinator_ =
+            std::make_unique<dist::Coordinator>(world_, plan_, options_);
+      }
+      coordinator_->ensureWorkers(partitions(), liveNodes_, prepareEpoch_);
+      stats = coordinator_->runLoop(loop, tally_);
+    } else {
+      stats = runInProcess(loop, iter);
+    }
+  } catch (const NodeLossError&) {
+    countError(options_, "NodeLossError");
+    throw;
+  } catch (const PartitionViolation&) {
+    countError(options_, "PartitionViolation");
+    throw;
   }
 
-  // Ownership guards are only needed when duplicated iterations could apply
-  // a centered write/reduction twice.
-  std::vector<IndexSet> ownership;
-  const bool needOwnership = hasCenteredWrite(loop) && !iter.isDisjoint();
-  if (needOwnership) ownership = disjointify(iter);
+  // The launch tail, the same for both backends.
+  bufferedElements_ += mergeBuffered(world_, loop, stats.buffered);
+  const std::size_t replays = tally_.replays.load() - replaysBefore;
+  // Replays restored state from snapshots; re-check the legality properties
+  // the recovery relied on.
+  if (options_.verifyPartitions && replays > 0) verifyPartitions();
+  std::string args = "\"pieces\":" + std::to_string(pieces_) +
+                     ",\"replays\":" + std::to_string(replays) +
+                     ",\"buffered_elements\":" +
+                     std::to_string(bufferedElements_);
+  if (multiProcess) {
+    args += ",\"ghost_elems\":" + std::to_string(stats.ghostElems) +
+            ",\"ghost_messages\":" + std::to_string(stats.ghostMessages);
+  }
+  launchSpan.annotate(std::move(args));
+  publishLaunchMetrics(loop, stats.taskSeconds);
+  if (rebalancer_ != nullptr) maybeRebalance(loop);
+}
 
+LaunchStats PlanExecutor::runInProcess(const parallelize::PlannedLoop& loop,
+                                       const Partition& iter) {
+  const OwnershipGuards guards(loop, iter);
   ir::LoopRunner runner(world_, *loop.loop);
-  std::vector<std::unique_ptr<TaskHooks>> hooks(pieces_);
   const auto& env = partitions();
+  const ResilienceOptions& res = options_.resilience;
+  LaunchStats stats;
   // Per-piece task CPU seconds for this launch — the adaptive
   // repartitioner's cost signal. Thread CPU time, not wall time: on an
   // oversubscribed pool wall time measures time-slicing, while CPU seconds
   // stay proportional to the piece's work (and project to per-node wall
   // time on a distributed machine, where each piece has its node to
-  // itself). Disjoint slots per task, published to the metrics registry
-  // after the launch completes.
-  MetricsRegistry* mx = options_.observability.metrics;
-  std::vector<double> taskSeconds(mx != nullptr ? pieces_ : 0, 0.0);
-  std::atomic<std::size_t> loopReplays{0};
-  // Replays already performed must survive an escalating failure (retry
-  // exhaustion aborts the launch mid-parallelFor), so merge on every exit.
-  struct ReplayMerge {
-    std::atomic<std::size_t>& from;
-    std::atomic<std::size_t>& to;
-    ~ReplayMerge() {
-      to.fetch_add(from.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-    }
-  } replayMerge{loopReplays, replays_};
+  // itself). Disjoint slots per task, like the buffered contributions.
+  stats.taskSeconds.assign(pieces_, 0.0);
+  stats.buffered.resize(pieces_);
 
-  auto runTask = [&](std::size_t j) {
+  pool_.parallelFor(pieces_, [&](std::size_t j) {
     const ThreadCpuTimer taskTimer;
-    const IndexSet* own = needOwnership ? &ownership[j] : nullptr;
+    const IndexSet* own = guards.of(j);
     const IndexSet& iters = iter.sub(j);
-    const std::string site =
-        "task:" + loop.loop->name + ":" + std::to_string(j);
-    // Task j of every launch runs on node liveNodes_[j]; the node site is
-    // keyed on the (stable) node id, not the (shrinkable) piece number, so
-    // "node:2" still names the same machine after an elastic shrink.
+    // Task j of every launch runs on node liveNodes_[j].
     const std::size_t nodeId = liveNodes_[j];
-    const std::string nodeSite = "node:" + std::to_string(nodeId);
-    FaultInjector* injector = options_.resilience.faultInjector;
 
     DPART_TRACE_SPAN_NAMED(taskSpan, tracer(), "executor",
                            "task:" + loop.loop->name);
@@ -227,143 +229,33 @@ void PlanExecutor::runLoop(const parallelize::PlannedLoop& loop) {
     // The footprint sets are needed to snapshot (taskReplay mode) and as the
     // target of Poison faults; skip building them entirely otherwise.
     TaskFootprint footprint;
-    if (options_.resilience.taskReplay || injector != nullptr) {
+    if (res.taskReplay || res.faultInjector != nullptr) {
       footprint = buildFootprint(world_, loop, j, env, own);
     }
-    if (options_.resilience.taskReplay) footprint.capture();
+    if (res.taskReplay) footprint.capture();
 
-    for (int attempt = 0;; ++attempt) {
-      hooks[j] = std::make_unique<TaskHooks>(loop, j, env,
-                                             options_.validateAccesses, own);
-      try {
-        if (injector != nullptr) {
-          if (auto fault = injector->fire(nodeSite);
-              fault && fault->kind == FaultKind::PermanentCrash) {
-            // The host dies mid-task: a deterministic prefix of the work
-            // lands in memory, then the machine is gone for good. Thrown as
-            // NodeLossError (not TaskFailure) so in-place replay cannot
-            // catch it — only a checkpoint restore with the node removed
-            // recovers.
-            runner.run(prefixOf(iters, fault->magnitude), hooks[j].get());
-            ErrorContext ctx;
-            ctx.site = nodeSite;
-            ctx.loop = loop.loop->name;
-            ctx.piece = static_cast<int>(j);
-            ctx.attempt = attempt;
-            throw NodeLossError(nodeId,
-                                "injected fault: node lost permanently",
-                                std::move(ctx));
-          }
-          if (auto fault = injector->fire(site)) {
-            ErrorContext ctx;
-            ctx.site = site;
-            ctx.loop = loop.loop->name;
-            ctx.piece = static_cast<int>(j);
-            ctx.attempt = attempt;
-            switch (fault->kind) {
-              case FaultKind::Straggler:
-                stallMicros_.fetch_add(fault->stragglerMicros,
-                                       std::memory_order_relaxed);
-                sleepFor(fault->stragglerMicros);
-                break;
-              case FaultKind::Poison:
-                // A dying node scribbles over its own write footprint —
-                // replay must restore every corrupted cell.
-                footprint.poison();
-                throw TaskFailure("injected fault: task result poisoned",
-                                  std::move(ctx));
-              case FaultKind::Crash:
-                // Execute a deterministic prefix, then die mid-task,
-                // leaving region state genuinely half-mutated.
-                runner.run(prefixOf(iters, fault->magnitude), hooks[j].get());
-                throw TaskFailure("injected fault: task crashed mid-run",
-                                  std::move(ctx));
-              case FaultKind::PermanentCrash:
-                // Same death as at the node site, for callers that arm
-                // "task:..." directly.
-                runner.run(prefixOf(iters, fault->magnitude), hooks[j].get());
-                throw NodeLossError(nodeId,
-                                    "injected fault: node lost permanently",
-                                    std::move(ctx));
-              case FaultKind::CorruptCheckpoint:
-                break;  // only meaningful at checkpoint:write sites
-            }
-          }
-        }
-        runner.run(iters, hooks[j].get());
-        break;
-      } catch (const TaskFailure& failure) {
-        countError("TaskFailure");
-        // Only task deaths are replayable; partition violations and
-        // evaluation failures propagate immediately.
-        if (!options_.resilience.taskReplay) throw;
-        footprint.restore();
-        if (attempt >= options_.resilience.maxTaskRetries) {
-          ErrorContext ctx = failure.context();
-          ctx.attempt = attempt;
-          throw TaskFailure(
-              std::string("task failed after ") +
-                  std::to_string(attempt + 1) + " attempt(s): " +
-                  failure.what(),
-              std::move(ctx));
-        }
-        loopReplays.fetch_add(1, std::memory_order_relaxed);
-        if (Tracer* tr = tracer(); tr != nullptr && tr->enabled()) {
-          tr->instant("executor", "task.replay",
-                      "\"site\":\"" + jsonEscape(site) +
-                          "\",\"fault_site\":\"" +
-                          jsonEscape(failure.context().site) +
-                          "\",\"node\":" + std::to_string(nodeId) +
-                          ",\"attempt\":" + std::to_string(attempt));
-        }
-        if (options_.resilience.retryBackoffMicros > 0) {
-          sleepFor(options_.resilience.retryBackoffMicros << attempt);
-        }
-      }
-    }
-    if (mx != nullptr) taskSeconds[j] = taskTimer.seconds();
-  };
-  try {
-    pool_.parallelFor(pieces_, runTask);
-  } catch (const NodeLossError&) {
-    countError("NodeLossError");
-    throw;
-  } catch (const PartitionViolation&) {
-    countError("PartitionViolation");
-    throw;
-  }
-
-  // Merge reduction buffers in task order (deterministic).
-  for (std::size_t j = 0; j < pieces_; ++j) {
-    for (auto& [stmtId, st] : hooks[j]->reduces()) {
-      if (st.buffer.empty()) continue;
-      const ir::Stmt* stmt = loop.loop->findStmt(stmtId);
-      DPART_CHECK(stmt != nullptr);
-      auto field = world_.region(stmt->region).f64(stmt->field);
-      // Sort for determinism across unordered_map iteration orders.
-      std::vector<std::pair<Index, double>> entries(st.buffer.begin(),
-                                                    st.buffer.end());
-      std::sort(entries.begin(), entries.end());
-      for (const auto& [target, value] : entries) {
-        double& cell = field[static_cast<std::size_t>(target)];
-        cell = ir::applyReduce(st.op, cell, value);
-      }
-      bufferedElements_ += entries.size();
-    }
-  }
-
-  // Replays restored state from snapshots; re-check the legality properties
-  // the recovery relied on.
-  if (options_.verifyPartitions && loopReplays.load() > 0) {
-    verifyPartitions();
-  }
-  launchSpan.annotate("\"pieces\":" + std::to_string(pieces_) +
-                      ",\"replays\":" + std::to_string(loopReplays.load()) +
-                      ",\"buffered_elements\":" +
-                      std::to_string(bufferedElements_));
-
-  if (mx != nullptr) publishLaunchMetrics(loop, taskSeconds);
-  if (rebalancer_ != nullptr) maybeRebalance(loop);
+    // Every attempt runs on fresh hooks, so a failed attempt's buffered
+    // contributions are dropped with it.
+    std::optional<TaskHooks> hooks;
+    auto runOver = [&](const IndexSet& set) {
+      hooks.emplace(loop, j, env, options_.validateAccesses, own);
+      runner.run(set, &*hooks);
+    };
+    runTaskAttempts(
+        options_, loop.loop->name, j, nodeId, tally_,
+        TaskEffects{
+            .run = [&] { runOver(iters); },
+            .prefix = [&](double frac) { runOver(prefixOf(iters, frac)); },
+            // This address space is the node: its death leaves nothing to
+            // stop beyond the prefix that already ran.
+            .kill = [] {},
+            .poison = [&] { footprint.poison(); },
+            .restore = [&] { footprint.restore(); },
+        });
+    stats.buffered[j] = hooks->contributions();
+    stats.taskSeconds[j] = taskTimer.seconds();
+  });
+  return stats;
 }
 
 void PlanExecutor::publishLaunchMetrics(
@@ -383,41 +275,6 @@ void PlanExecutor::publishLaunchMetrics(
   const double imbalance = meanSec > 0 ? worst / meanSec : 1.0;
   mx->gauge("executor.imbalance").set(imbalance);
   mx->gauge("executor.imbalance", {{"loop", loop.loop->name}}).set(imbalance);
-}
-
-void PlanExecutor::runLoopDistributed(const parallelize::PlannedLoop& loop,
-                                      TraceSpan& launchSpan) {
-  if (coordinator_ == nullptr) {
-    coordinator_ = std::make_unique<dist::Coordinator>(world_, plan_,
-                                                       options_);
-  }
-  coordinator_->ensureWorkers(partitions(), liveNodes_, prepareEpoch_);
-  dist::LaunchStats stats;
-  try {
-    stats = coordinator_->runLoop(loop);
-  } catch (const NodeLossError&) {
-    countError("NodeLossError");
-    throw;
-  } catch (const PartitionViolation&) {
-    countError("PartitionViolation");
-    throw;
-  }
-  // The coordinator already counted TaskFailure / TransportError events (it
-  // sees each injected or wire-level failure, not just the escalations), so
-  // only the launch tallies are folded here.
-  replays_.fetch_add(stats.replays, std::memory_order_relaxed);
-  stallMicros_.fetch_add(stats.stallMicros, std::memory_order_relaxed);
-  bufferedElements_ += stats.bufferedElements;
-  if (options_.verifyPartitions && stats.replays > 0) verifyPartitions();
-  launchSpan.annotate("\"pieces\":" + std::to_string(pieces_) +
-                      ",\"replays\":" + std::to_string(stats.replays) +
-                      ",\"buffered_elements\":" +
-                      std::to_string(bufferedElements_) +
-                      ",\"ghost_elems\":" + std::to_string(stats.ghostElems) +
-                      ",\"ghost_messages\":" +
-                      std::to_string(stats.ghostMessages));
-  publishLaunchMetrics(loop, stats.taskSeconds);
-  if (rebalancer_ != nullptr) maybeRebalance(loop);
 }
 
 void PlanExecutor::maybeRebalance(const parallelize::PlannedLoop& loop) {
@@ -467,7 +324,7 @@ void PlanExecutor::restoreFromCheckpoint(std::optional<std::size_t> lostNode) {
     try {
       return checkpoints_->restoreLatest(world_, planHash_);
     } catch (const CheckpointCorruption&) {
-      countError("CheckpointCorruption");
+      countError(options_, "CheckpointCorruption");
       throw;
     }
   }();

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -18,6 +17,7 @@
 #include "runtime/checkpoint.hpp"
 #include "runtime/options.hpp"
 #include "runtime/rebalance.hpp"
+#include "runtime/task_exec.hpp"
 #include "support/fault.hpp"
 #include "support/perf_counters.hpp"
 #include "support/thread_pool.hpp"
@@ -27,7 +27,6 @@ namespace dpart::runtime {
 
 namespace dist {
 class Coordinator;
-struct LaunchStats;
 }  // namespace dist
 
 /// A node died for good (FaultKind::PermanentCrash on a "node:<id>" site, or
@@ -106,7 +105,9 @@ class PlanExecutor {
   void verifyPartitions() const;
 
   /// Task replays performed so far (ResilienceOptions::taskReplay mode).
-  [[nodiscard]] std::size_t taskReplays() const { return replays_.load(); }
+  [[nodiscard]] std::size_t taskReplays() const {
+    return tally_.replays.load();
+  }
 
   /// Checkpoint restores performed so far (checkpointing mode).
   [[nodiscard]] std::size_t checkpointRestores() const {
@@ -128,7 +129,8 @@ class PlanExecutor {
   /// level. Kept out of every operator wall-time counter so the bench JSON
   /// stays comparable between faulty and fault-free runs.
   [[nodiscard]] std::uint64_t injectedStallMicros() const {
-    return stallMicros_.load() + evaluator_.counters().injectedStallMicros;
+    return tally_.stallMicros.load() +
+           evaluator_.counters().injectedStallMicros;
   }
 
   /// The CheckpointManager behind this executor, or nullptr when
@@ -168,15 +170,9 @@ class PlanExecutor {
   [[nodiscard]] dist::Coordinator* coordinator() { return coordinator_.get(); }
 
  private:
-  /// Sleeps via ResilienceOptions::sleepMicros when set, for real otherwise.
-  void sleepFor(std::uint64_t micros) const;
-
   [[nodiscard]] Tracer* tracer() const {
     return options_.observability.tracer;
   }
-
-  /// Bumps errorsTotal{kind=...} (no-op without a metrics registry).
-  void countError(const char* kind) const;
 
   /// Takes one checkpoint at the current launch index.
   void checkpoint();
@@ -193,11 +189,9 @@ class PlanExecutor {
     return rebalancedBases_.empty() ? plan_.dpl : activeDpl_;
   }
 
-  /// Runs one launch on the multi-process backend: syncs the worker fleet
-  /// with the current prepare epoch, delegates to the Coordinator, and
-  /// folds its LaunchStats into the executor's tallies.
-  void runLoopDistributed(const parallelize::PlannedLoop& loop,
-                          TraceSpan& launchSpan);
+  /// Runs one launch's tasks on the thread pool (ExecBackend::InProcess).
+  [[nodiscard]] LaunchStats runInProcess(const parallelize::PlannedLoop& loop,
+                                         const region::Partition& iter);
 
   /// Publishes the per-piece task seconds and imbalance of one completed
   /// launch (both backends report through this).
@@ -220,7 +214,7 @@ class PlanExecutor {
   dpl::Evaluator evaluator_;
   bool prepared_ = false;
   std::size_t bufferedElements_ = 0;
-  std::atomic<std::size_t> replays_{0};
+  FaultTally tally_;
   /// Node ids still alive; task j of a launch runs on liveNodes_[j], and
   /// pieces_ == liveNodes_.size() at all times.
   std::vector<std::size_t> liveNodes_;
@@ -250,7 +244,6 @@ class PlanExecutor {
   std::uint64_t launchesDone_ = 0;
   std::size_t checkpointRestores_ = 0;
   std::size_t elasticShrinks_ = 0;
-  std::atomic<std::uint64_t> stallMicros_{0};
 };
 
 }  // namespace dpart::runtime

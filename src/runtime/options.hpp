@@ -43,8 +43,6 @@ struct CheckpointOptions {
   /// Take a checkpoint after every N completed loop launches. A baseline
   /// checkpoint (launch 0) is always taken before the first launch.
   int everyNLaunches = 1;
-  /// Checkpoint generations kept on disk (older ones are deleted).
-  int retain = 3;
   /// Rebuilds an externally bound partition for a new piece count after an
   /// elastic shrink. Without it, a shrink with externals whose piece count
   /// no longer matches fails the restore.

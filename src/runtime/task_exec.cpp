@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <limits>
 
+#include "runtime/executor.hpp"
 #include "support/check.hpp"
+#include "support/sleep.hpp"
 
 namespace dpart::runtime {
 
@@ -11,6 +13,59 @@ using optimize::ReduceStrategy;
 using region::Index;
 using region::IndexSet;
 using region::Partition;
+
+namespace {
+
+/// First-claim disjointification of an aliased partition: index i is owned
+/// by the lowest-numbered subregion containing it.
+std::vector<IndexSet> disjointify(const Partition& p) {
+  std::vector<IndexSet> owned;
+  owned.reserve(p.count());
+  IndexSet claimed;
+  for (std::size_t j = 0; j < p.count(); ++j) {
+    owned.push_back(p.sub(j).subtract(claimed));
+    claimed = claimed.unionWith(p.sub(j));
+  }
+  return owned;
+}
+
+/// Whether the loop has a centered write (store, or reduce with no planned
+/// strategy) that needs ownership-guarding under an aliased iteration
+/// partition.
+bool hasCenteredWrite(const parallelize::PlannedLoop& loop) {
+  bool centered = false;
+  loop.loop->forEachStmt([&](const ir::Stmt& s) {
+    if (s.kind == ir::StmtKind::StoreF64 ||
+        (s.kind == ir::StmtKind::ReduceF64 && !loop.reduces.contains(s.id))) {
+      centered = true;
+    }
+  });
+  return centered;
+}
+
+}  // namespace
+
+FieldSlice gatherSlice(region::World& world, const std::string& regionName,
+                       const std::string& field, IndexSet indices) {
+  FieldSlice slice;
+  slice.region = regionName;
+  slice.field = field;
+  auto column = world.region(regionName).f64(field);
+  slice.values.reserve(static_cast<std::size_t>(indices.size()));
+  indices.forEach([&](Index i) {
+    slice.values.push_back(column[static_cast<std::size_t>(i)]);
+  });
+  slice.indices = std::move(indices);
+  return slice;
+}
+
+void applySlice(region::World& world, const FieldSlice& slice) {
+  auto column = world.region(slice.region).f64(slice.field);
+  std::size_t k = 0;
+  slice.indices.forEach([&](Index i) {
+    column[static_cast<std::size_t>(i)] = slice.values[k++];
+  });
+}
 
 TaskHooks::TaskHooks(const parallelize::PlannedLoop& loop, std::size_t piece,
                      const std::map<std::string, Partition>& env,
@@ -99,26 +154,46 @@ bool TaskHooks::handleReduce(const ir::Stmt& stmt, Index target,
   return true;
 }
 
-std::vector<IndexSet> disjointify(const Partition& p) {
-  std::vector<IndexSet> owned;
-  owned.reserve(p.count());
-  IndexSet claimed;
-  for (std::size_t j = 0; j < p.count(); ++j) {
-    owned.push_back(p.sub(j).subtract(claimed));
-    claimed = claimed.unionWith(p.sub(j));
+std::vector<ReduceSlice> TaskHooks::contributions() const {
+  std::vector<ReduceSlice> out;
+  for (const auto& [stmtId, st] : reduces_) {
+    if (st.buffer.empty()) continue;
+    ReduceSlice rs;
+    rs.stmtId = stmtId;
+    rs.op = static_cast<std::uint8_t>(st.op);
+    // Sorted for determinism across unordered_map iteration orders.
+    rs.entries.assign(st.buffer.begin(), st.buffer.end());
+    std::sort(rs.entries.begin(), rs.entries.end());
+    out.push_back(std::move(rs));
   }
-  return owned;
+  return out;
 }
 
-bool hasCenteredWrite(const parallelize::PlannedLoop& loop) {
-  bool centered = false;
-  loop.loop->forEachStmt([&](const ir::Stmt& s) {
-    if (s.kind == ir::StmtKind::StoreF64 ||
-        (s.kind == ir::StmtKind::ReduceF64 && !loop.reduces.contains(s.id))) {
-      centered = true;
+std::size_t mergeBuffered(
+    region::World& world, const parallelize::PlannedLoop& loop,
+    const std::vector<std::vector<ReduceSlice>>& pieces) {
+  std::size_t merged = 0;
+  for (const std::vector<ReduceSlice>& slices : pieces) {
+    for (const ReduceSlice& rs : slices) {
+      const ir::Stmt* stmt = loop.loop->findStmt(static_cast<int>(rs.stmtId));
+      DPART_CHECK(stmt != nullptr, "buffered contribution names unknown "
+                                   "reduce stmt " +
+                                       std::to_string(rs.stmtId));
+      auto column = world.region(stmt->region).f64(stmt->field);
+      const auto op = static_cast<ir::ReduceOp>(rs.op);
+      for (const auto& [target, value] : rs.entries) {
+        double& cell = column[static_cast<std::size_t>(target)];
+        cell = ir::applyReduce(op, cell, value);
+      }
+      merged += rs.entries.size();
     }
-  });
-  return centered;
+  }
+  return merged;
+}
+
+OwnershipGuards::OwnershipGuards(const parallelize::PlannedLoop& loop,
+                                 const Partition& iter) {
+  if (hasCenteredWrite(loop) && !iter.isDisjoint()) owned_ = disjointify(iter);
 }
 
 void TaskFootprint::add(std::span<double> column, const std::string& regionName,
@@ -216,6 +291,106 @@ IndexSet prefixOf(const IndexSet& iters, double frac) {
     taken += take;
   }
   return builder.build();
+}
+
+void countError(const ExecOptions& options, const char* kind) {
+  if (options.observability.metrics != nullptr) {
+    options.observability.metrics->counter("errorsTotal", {{"kind", kind}})
+        .inc();
+  }
+}
+
+void runTaskAttempts(const ExecOptions& options, const std::string& loop,
+                     std::size_t piece, std::size_t node, FaultTally& tally,
+                     const TaskEffects& effects) {
+  const ResilienceOptions& res = options.resilience;
+  FaultInjector* injector = res.faultInjector;
+  const std::string site = "task:" + loop + ":" + std::to_string(piece);
+  // The node site is keyed on the (stable) node id, not the (shrinkable)
+  // piece number, so "node:2" still names the same machine after an elastic
+  // shrink.
+  const std::string nodeSite = "node:" + std::to_string(node);
+  auto contextAt = [&](const std::string& at, int attempt) {
+    ErrorContext ctx;
+    ctx.site = at;
+    ctx.loop = loop;
+    ctx.piece = static_cast<int>(piece);
+    ctx.attempt = attempt;
+    return ctx;
+  };
+  // The host dies mid-task: a deterministic prefix of the work lands, then
+  // the machine is gone for good. NodeLossError, not TaskFailure, so replay
+  // cannot catch it; only a checkpoint restore with the node removed
+  // recovers.
+  auto nodeLost = [&](const std::string& at, double frac, int attempt) {
+    effects.prefix(frac);
+    effects.kill();
+    return NodeLossError(node, "injected fault: node lost permanently",
+                         contextAt(at, attempt));
+  };
+
+  for (int attempt = 0;; ++attempt) {
+    try {
+      if (injector != nullptr) {
+        if (auto fault = injector->fire(nodeSite);
+            fault && fault->kind == FaultKind::PermanentCrash) {
+          throw nodeLost(nodeSite, fault->magnitude, attempt);
+        }
+        if (auto fault = injector->fire(site)) {
+          switch (fault->kind) {
+            case FaultKind::Straggler:
+              tally.stallMicros.fetch_add(fault->stragglerMicros,
+                                          std::memory_order_relaxed);
+              sleepOrHook(res.sleepMicros, fault->stragglerMicros);
+              break;
+            case FaultKind::Poison:
+              // Replay must restore every corrupted cell.
+              effects.poison();
+              throw TaskFailure("injected fault: task result poisoned",
+                                contextAt(site, attempt));
+            case FaultKind::Crash:
+              // Die mid-task, leaving region state genuinely half-mutated.
+              effects.prefix(fault->magnitude);
+              throw TaskFailure("injected fault: task crashed mid-run",
+                                contextAt(site, attempt));
+            case FaultKind::PermanentCrash:
+              // The same death as at the node site, for callers that arm
+              // "task:..." directly.
+              throw nodeLost(site, fault->magnitude, attempt);
+            case FaultKind::CorruptCheckpoint:
+              break;  // only meaningful at checkpoint:write sites
+          }
+        }
+      }
+      effects.run();
+      return;
+    } catch (const TaskFailure& failure) {
+      countError(options, "TaskFailure");
+      // Only task deaths are replayable; partition violations and
+      // evaluation failures propagate immediately.
+      if (!res.taskReplay) throw;
+      effects.restore();
+      if (attempt >= res.maxTaskRetries) {
+        ErrorContext ctx = failure.context();
+        ctx.attempt = attempt;
+        throw TaskFailure(std::string("task failed after ") +
+                              std::to_string(attempt + 1) +
+                              " attempt(s): " + failure.what(),
+                          std::move(ctx));
+      }
+      tally.replays.fetch_add(1, std::memory_order_relaxed);
+      if (Tracer* tr = options.observability.tracer;
+          tr != nullptr && tr->enabled()) {
+        tr->instant("executor", "task.replay",
+                    "\"site\":\"" + jsonEscape(site) +
+                        "\",\"fault_site\":\"" +
+                        jsonEscape(failure.context().site) +
+                        "\",\"node\":" + std::to_string(node) +
+                        ",\"attempt\":" + std::to_string(attempt));
+      }
+      sleepOrHook(res.sleepMicros, res.retryBackoffMicros << attempt);
+    }
+  }
 }
 
 }  // namespace dpart::runtime

@@ -11,10 +11,13 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/spmv.hpp"
@@ -25,6 +28,7 @@
 #include "support/fault.hpp"
 #include "support/metrics.hpp"
 #include "support/rng.hpp"
+#include "support/trace.hpp"
 
 namespace dpart {
 namespace {
@@ -383,37 +387,187 @@ TEST(DistributedExec, ReconnectExhaustionEscalates) {
   }
 }
 
-/// Injected task faults replay on the distributed backend with the same
-/// counters as in-process, and the replayed run stays bitwise correct.
-TEST(DistributedExec, TaskReplayOnDistributedBackend) {
-  DPART_SKIP_UNDER_TSAN();
-  const std::uint64_t seed = 23;
-  World clean;
-  buildPipelineWorld(clean, seed);
-  runSteps(clean, makePipeline(), kPieces,
-           backendOptions(ExecBackend::InProcess));
+/// What one backend reports after running the pipeline under a fault
+/// schedule.
+struct FaultRun {
+  std::size_t replays = 0;
+  std::uint64_t stallMicros = 0;
+  std::size_t bufferedElements = 0;
+  std::uint64_t taskFailures = 0;       ///< errorsTotal{kind=TaskFailure}
+  std::vector<std::string> replayArgs;  ///< args of each task.replay instant
+  bool escalated = false;               ///< the run threw TaskFailure
+  std::string escalatedSite;
+  int escalatedAttempt = -1;
+};
 
-  World faulty;
-  buildPipelineWorld(faulty, seed);
+/// Runs kSteps steps of the pipeline on `backend` with task replay on, the
+/// faults `arm` sets up, an enabled Tracer and a MetricsRegistry.
+FaultRun runUnderFaults(World& w, ExecBackend backend, std::uint64_t seed,
+                        const std::function<void(FaultInjector&)>& arm) {
   const ir::Program prog = makePipeline();
-  parallelize::AutoParallelizer ap(faulty);
+  parallelize::AutoParallelizer ap(w);
   parallelize::ParallelPlan plan = ap.plan(prog);
-
   FaultInjector inj(seed);
-  FaultSpec crash;
-  crash.kind = FaultKind::Crash;
-  crash.maxFires = 2;
-  inj.arm("task:gather:0", crash);
-
-  ExecOptions opts = backendOptions(ExecBackend::MultiProcess);
+  arm(inj);
+  Tracer tracer;
+  tracer.enable();
+  MetricsRegistry metrics;
+  ExecOptions opts = backendOptions(backend);
   opts.verifyPartitions = true;
   opts.resilience.faultInjector = &inj;
   opts.resilience.taskReplay = true;
-  PlanExecutor exec(faulty, plan, kPieces, opts);
-  for (int s = 0; s < kSteps; ++s) exec.run();
+  opts.resilience.sleepMicros = [](std::uint64_t) {};
+  opts.observability.tracer = &tracer;
+  opts.observability.metrics = &metrics;
 
-  EXPECT_EQ(exec.taskReplays(), 2u);
-  expectWorldsBitwiseEqual(clean, faulty);
+  FaultRun out;
+  {
+    PlanExecutor exec(w, plan, kPieces, opts);
+    try {
+      for (int s = 0; s < kSteps; ++s) exec.run();
+    } catch (const TaskFailure& failure) {
+      out.escalated = true;
+      out.escalatedSite = failure.context().site;
+      out.escalatedAttempt = failure.context().attempt;
+    }
+    out.replays = exec.taskReplays();
+    out.stallMicros = exec.injectedStallMicros();
+    out.bufferedElements = exec.bufferedElements();
+  }
+  out.taskFailures =
+      metrics.counter("errorsTotal", {{"kind", "TaskFailure"}}).value();
+  for (const TraceEvent& e : tracer.events()) {
+    if (e.phase == TraceEvent::Phase::Instant && e.name == "task.replay") {
+      out.replayArgs.push_back(e.args);
+    }
+  }
+  // In-process tasks may replay concurrently; compare as a set.
+  std::sort(out.replayArgs.begin(), out.replayArgs.end());
+  return out;
+}
+
+void expectSameFaultRun(const FaultRun& inproc, const FaultRun& multi) {
+  EXPECT_EQ(inproc.replays, multi.replays);
+  EXPECT_EQ(inproc.stallMicros, multi.stallMicros);
+  EXPECT_EQ(inproc.bufferedElements, multi.bufferedElements);
+  EXPECT_EQ(inproc.taskFailures, multi.taskFailures);
+  EXPECT_EQ(inproc.replayArgs, multi.replayArgs);
+  EXPECT_EQ(inproc.escalated, multi.escalated);
+  EXPECT_EQ(inproc.escalatedSite, multi.escalatedSite);
+  EXPECT_EQ(inproc.escalatedAttempt, multi.escalatedAttempt);
+}
+
+/// One fault schedule takes the same path on both backends: the same
+/// replay, stall, buffer and error tallies and the same task.replay
+/// instants, and, where the run completes, fields bitwise identical to each
+/// other and to a fault-free run.
+TEST(DistributedExec, TaskReplayOnDistributedBackend) {
+  DPART_SKIP_UNDER_TSAN();
+  const std::uint64_t seed = 23;
+  FaultSpec straggler;
+  straggler.kind = FaultKind::Straggler;
+  straggler.stragglerMicros = 10;
+  straggler.maxFires = 1;
+
+  // Recovering: gather:0 crashes twice and replays; a task of the psplit
+  // loop, which merges reduction buffers, straggles.
+  {
+    auto arm = [&](FaultInjector& inj) {
+      FaultSpec crash;
+      crash.kind = FaultKind::Crash;
+      crash.maxFires = 2;
+      inj.arm("task:gather:0", crash);
+      inj.arm("task:psplit:1", straggler);
+    };
+    World clean;
+    buildPipelineWorld(clean, seed);
+    runSteps(clean, makePipeline(), kPieces,
+             backendOptions(ExecBackend::InProcess));
+
+    World inprocWorld;
+    buildPipelineWorld(inprocWorld, seed);
+    const FaultRun inproc =
+        runUnderFaults(inprocWorld, ExecBackend::InProcess, seed, arm);
+    World multiWorld;
+    buildPipelineWorld(multiWorld, seed);
+    const FaultRun multi =
+        runUnderFaults(multiWorld, ExecBackend::MultiProcess, seed, arm);
+
+    EXPECT_FALSE(inproc.escalated);
+    EXPECT_EQ(inproc.replays, 2u);
+    EXPECT_EQ(inproc.stallMicros, 10u);
+    EXPECT_GT(inproc.bufferedElements, 0u);
+    EXPECT_EQ(inproc.taskFailures, 2u);
+    ASSERT_EQ(inproc.replayArgs.size(), 2u);
+    EXPECT_NE(inproc.replayArgs[0].find("\"fault_site\":\"task:gather:0\""),
+              std::string::npos)
+        << inproc.replayArgs[0];
+    expectSameFaultRun(inproc, multi);
+    expectWorldsBitwiseEqual(clean, multiWorld);
+    expectWorldsBitwiseEqual(inprocWorld, multiWorld);
+  }
+
+  // Exhausting: gather:0 straggles, then gather:1 crashes on every attempt.
+  // With no checkpoint to restore, both backends escalate TaskFailure once
+  // maxTaskRetries replays are spent, and keep the replays and the stall.
+  {
+    auto arm = [&](FaultInjector& inj) {
+      FaultSpec crash;
+      crash.kind = FaultKind::Crash;
+      inj.arm("task:gather:0", straggler);
+      inj.arm("task:gather:1", crash);
+    };
+    World inprocWorld;
+    buildPipelineWorld(inprocWorld, seed);
+    const FaultRun inproc =
+        runUnderFaults(inprocWorld, ExecBackend::InProcess, seed, arm);
+    World multiWorld;
+    buildPipelineWorld(multiWorld, seed);
+    const FaultRun multi =
+        runUnderFaults(multiWorld, ExecBackend::MultiProcess, seed, arm);
+
+    EXPECT_TRUE(inproc.escalated);
+    EXPECT_EQ(inproc.escalatedSite, "task:gather:1");
+    EXPECT_EQ(inproc.escalatedAttempt, 3);
+    EXPECT_EQ(inproc.replays, 3u);
+    EXPECT_EQ(inproc.stallMicros, 10u);
+    EXPECT_EQ(inproc.taskFailures, 4u);
+    EXPECT_EQ(inproc.replayArgs.size(), 3u);
+    expectSameFaultRun(inproc, multi);
+  }
+}
+
+/// Pins the ghost exchange at `distributed_demo --model-error --steps 4`'s
+/// sizes: the last launch of the stencil's apply_stencil refreshes 768
+/// elements in 4 messages, while add_back and SpMV ship nothing.
+TEST(DistributedExec, GhostTrafficAtModelErrorDemoSizes) {
+  DPART_SKIP_UNDER_TSAN();
+  using Traffic = std::pair<std::uint64_t, std::uint64_t>;  // elems, msgs
+  auto lastGhost = [](World& w, const parallelize::ParallelPlan& plan) {
+    PlanExecutor exec(w, plan, kPieces,
+                      backendOptions(ExecBackend::MultiProcess));
+    for (int s = 0; s < 4; ++s) exec.run();
+    return exec.coordinator()->lastGhostTraffic();
+  };
+
+  apps::StencilApp::Params sp;
+  sp.rowsPerPiece = 64;
+  sp.cols = 64;
+  sp.pieces = kPieces;
+  apps::StencilApp stencil(sp);
+  const auto stencilGhost =
+      lastGhost(stencil.world(), stencil.autoSetup().plan);
+  EXPECT_EQ(stencilGhost.at("apply_stencil"), Traffic(768, 4));
+  EXPECT_EQ(stencilGhost.at("add_back"), Traffic(0, 0));
+
+  apps::SpmvApp::Params mp;
+  mp.rowsPerPiece = 256;
+  mp.nnzPerRow = 5;
+  mp.pieces = kPieces;
+  mp.skew = 1.2;
+  apps::SpmvApp spmv(mp);
+  const auto spmvGhost = lastGhost(spmv.world(), spmv.autoSetup().plan);
+  EXPECT_EQ(spmvGhost.at("spmv"), Traffic(0, 0));
 }
 
 }  // namespace
