@@ -94,8 +94,8 @@ std::vector<LoopRunner::Op> LoopRunner::compileStmts(
   return ops;
 }
 
-void LoopRunner::execOps(const std::vector<Op>& ops, std::vector<Value>& env,
-                         ExecHooks* hooks) {
+void LoopRunner::execOps(const std::vector<Op>& ops,
+                         std::vector<Value>& env) {
   // Scratch buffer for Compute arguments, hoisted out of the loop.
   thread_local std::vector<double> argScratch;
   for (const Op& op : ops) {
@@ -105,7 +105,6 @@ void LoopRunner::execOps(const std::vector<Op>& ops, std::vector<Value>& env,
         const Index t = std::get<Index>(env[static_cast<std::size_t>(op.idx)]);
         DPART_CHECK(t >= 0 && t < op.fieldSize,
                     "index out of bounds in " + s.toString());
-        if (hooks) hooks->onAccess(s, t);
         env[static_cast<std::size_t>(op.dst)] =
             op.f64[static_cast<std::size_t>(t)];
         break;
@@ -114,7 +113,6 @@ void LoopRunner::execOps(const std::vector<Op>& ops, std::vector<Value>& env,
         const Index t = std::get<Index>(env[static_cast<std::size_t>(op.idx)]);
         DPART_CHECK(t >= 0 && t < op.fieldSize,
                     "index out of bounds in " + s.toString());
-        if (hooks) hooks->onAccess(s, t);
         env[static_cast<std::size_t>(op.dst)] =
             op.idxField[static_cast<std::size_t>(t)];
         break;
@@ -123,7 +121,6 @@ void LoopRunner::execOps(const std::vector<Op>& ops, std::vector<Value>& env,
         const Index t = std::get<Index>(env[static_cast<std::size_t>(op.idx)]);
         DPART_CHECK(t >= 0 && t < op.fieldSize,
                     "index out of bounds in " + s.toString());
-        if (hooks) hooks->onAccess(s, t);
         env[static_cast<std::size_t>(op.dst)] =
             op.rangeField[static_cast<std::size_t>(t)];
         break;
@@ -132,10 +129,6 @@ void LoopRunner::execOps(const std::vector<Op>& ops, std::vector<Value>& env,
         const Index t = std::get<Index>(env[static_cast<std::size_t>(op.idx)]);
         DPART_CHECK(t >= 0 && t < op.fieldSize,
                     "index out of bounds in " + s.toString());
-        if (hooks) {
-          hooks->onAccess(s, t);
-          if (!hooks->shouldWrite(s, t)) break;
-        }
         op.f64[static_cast<std::size_t>(t)] =
             std::get<double>(env[static_cast<std::size_t>(op.src)]);
         break;
@@ -145,10 +138,6 @@ void LoopRunner::execOps(const std::vector<Op>& ops, std::vector<Value>& env,
         DPART_CHECK(t >= 0 && t < op.fieldSize,
                     "index out of bounds in " + s.toString());
         const double v = std::get<double>(env[static_cast<std::size_t>(op.src)]);
-        if (hooks) {
-          hooks->onAccess(s, t);
-          if (hooks->handleReduce(s, t, v)) break;
-        }
         double& cell = op.f64[static_cast<std::size_t>(t)];
         cell = applyReduce(s.op, cell, v);
         break;
@@ -176,7 +165,7 @@ void LoopRunner::execOps(const std::vector<Op>& ops, std::vector<Value>& env,
         const Run range = std::get<Run>(env[static_cast<std::size_t>(op.src)]);
         for (Index k = range.lo; k < range.hi; ++k) {
           env[static_cast<std::size_t>(op.dst)] = k;
-          execOps(op.body, env, hooks);
+          execOps(op.body, env);
         }
         break;
       }
@@ -184,16 +173,16 @@ void LoopRunner::execOps(const std::vector<Op>& ops, std::vector<Value>& env,
   }
 }
 
-void LoopRunner::run(const IndexSet& iters, ExecHooks* hooks) {
+void LoopRunner::run(const IndexSet& iters) {
   std::vector<Value> env(static_cast<std::size_t>(slotCount_), 0.0);
   iters.forEach([&](Index i) {
     env[static_cast<std::size_t>(loopVarSlot_)] = i;
-    execOps(ops_, env, hooks);
+    execOps(ops_, env);
   });
 }
 
-void LoopRunner::runAll(ExecHooks* hooks) {
-  run(world_.region(loop_.iterRegion).indexSpace(), hooks);
+void LoopRunner::runAll() {
+  run(world_.region(loop_.iterRegion).indexSpace());
 }
 
 void runSerial(region::World& world, const Program& program) {

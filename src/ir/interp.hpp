@@ -9,38 +9,14 @@
 
 namespace dpart::ir {
 
-/// Hooks the parallel runtime injects into loop execution.
+/// Executes a Loop over a subset of its iteration space against a World:
+/// the serial reference semantics parallel executions are checked against.
 ///
-/// The default implementations give plain serial semantics. The runtime
-/// overrides them to (a) validate that every access stays within the
-/// subregions assigned to the task (partition legality), (b) apply ownership
-/// guards to centered writes under aliased iteration partitions, and
-/// (c) guard or buffer uncentered reductions (Sections 5.1 / 5.2).
-class ExecHooks {
- public:
-  virtual ~ExecHooks() = default;
-
-  /// Called for every region access with the resolved element index.
-  virtual void onAccess(const Stmt& /*stmt*/, Index /*target*/) {}
-
-  /// Centered writes: return false to skip (non-owned duplicate iteration).
-  virtual bool shouldWrite(const Stmt& /*stmt*/, Index /*target*/) {
-    return true;
-  }
-
-  /// Reductions: return true when the contribution was handled (guarded out
-  /// or redirected to a buffer); false to have the runner apply it in place.
-  virtual bool handleReduce(const Stmt& /*stmt*/, Index /*target*/,
-                            double /*value*/) {
-    return false;
-  }
-};
-
-/// Executes a Loop over a subset of its iteration space against a World.
-///
-/// The runner is the single interpreter core shared by the serial reference
-/// execution (hooks = nullptr) and the task runtime (hooks installed per
-/// task). Field columns are resolved once at construction.
+/// Deliberately plain: names resolve to columns once at construction, but
+/// every variable lives in a std::variant slot and every ApplyFn evaluates
+/// its fn by name (World::evalPoint). The task runtime runs loops through
+/// its own kernels (runtime/task_exec) and shares no code with this
+/// interpreter, so comparing the two is an independent check.
 class LoopRunner {
  public:
   LoopRunner(region::World& world, const Loop& loop);
@@ -49,10 +25,10 @@ class LoopRunner {
   LoopRunner& operator=(const LoopRunner&) = delete;
 
   /// Runs the given iterations in ascending order.
-  void run(const region::IndexSet& iters, ExecHooks* hooks = nullptr);
+  void run(const region::IndexSet& iters);
 
-  /// Runs the full iteration space (serial reference semantics).
-  void runAll(ExecHooks* hooks = nullptr);
+  /// Runs the full iteration space.
+  void runAll();
 
   [[nodiscard]] const Loop& loop() const { return loop_; }
 
@@ -75,8 +51,7 @@ class LoopRunner {
 
   int slotOf(const std::string& var);
   std::vector<Op> compileStmts(const std::vector<Stmt>& stmts);
-  void execOps(const std::vector<Op>& ops, std::vector<Value>& env,
-               ExecHooks* hooks);
+  void execOps(const std::vector<Op>& ops, std::vector<Value>& env);
 
   region::World& world_;
   const Loop& loop_;

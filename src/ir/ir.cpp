@@ -20,18 +20,6 @@ const char* toString(ReduceOp op) {
   DPART_UNREACHABLE("bad ReduceOp");
 }
 
-double applyReduce(ReduceOp op, double acc, double value) {
-  switch (op) {
-    case ReduceOp::Sum:
-      return acc + value;
-    case ReduceOp::Min:
-      return std::min(acc, value);
-    case ReduceOp::Max:
-      return std::max(acc, value);
-  }
-  DPART_UNREACHABLE("bad ReduceOp");
-}
-
 double reduceIdentity(ReduceOp op) {
   switch (op) {
     case ReduceOp::Sum:

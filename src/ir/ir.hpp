@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <span>
@@ -8,6 +9,7 @@
 
 #include "region/fn.hpp"
 #include "region/world.hpp"
+#include "support/check.hpp"
 
 namespace dpart::ir {
 
@@ -19,8 +21,20 @@ using region::Run;
 enum class ReduceOp { Sum, Min, Max };
 
 const char* toString(ReduceOp op);
-double applyReduce(ReduceOp op, double acc, double value);
 double reduceIdentity(ReduceOp op);
+
+/// acc op value. Inline: task kernels apply it once per reduced element.
+inline double applyReduce(ReduceOp op, double acc, double value) {
+  switch (op) {
+    case ReduceOp::Sum:
+      return acc + value;
+    case ReduceOp::Min:
+      return std::min(acc, value);
+    case ReduceOp::Max:
+      return std::max(acc, value);
+  }
+  DPART_UNREACHABLE("bad ReduceOp");
+}
 
 /// Pure scalar computation over previously loaded values.
 using ComputeFn = std::function<double(std::span<const double>)>;

@@ -97,13 +97,29 @@ const FnDef& World::fn(const std::string& id) const {
   return it->second;
 }
 
+namespace {
+
+/// Throws unless i indexes the domain region of field-backed fn `f`.
+void checkFnArg(const FnDef& f, Index i, std::size_t domainSize) {
+  if (i < 0 || i >= static_cast<Index>(domainSize)) {
+    throw Error("index out of bounds: " + f.id + "(" + std::to_string(i) +
+                ") outside domain " + f.domainRegion + " of size " +
+                std::to_string(domainSize));
+  }
+}
+
+}  // namespace
+
 Index World::evalPoint(const std::string& fnId, Index i) const {
   const FnDef& f = fn(fnId);
   switch (f.kind) {
     case FnKind::Identity:
       return i;
-    case FnKind::FieldPtr:
-      return region(f.domainRegion).idx(f.field)[static_cast<std::size_t>(i)];
+    case FnKind::FieldPtr: {
+      const auto column = region(f.domainRegion).idx(f.field);
+      checkFnArg(f, i, column.size());
+      return column[static_cast<std::size_t>(i)];
+    }
     case FnKind::Affine:
       return f.point(i);
     case FnKind::FieldRange:
@@ -116,7 +132,9 @@ Run World::evalRange(const std::string& fnId, Index i) const {
   const FnDef& f = fn(fnId);
   DPART_CHECK(f.kind == FnKind::FieldRange,
               "evalRange on point-valued function '" + fnId + "'");
-  return region(f.domainRegion).range(f.field)[static_cast<std::size_t>(i)];
+  const auto column = region(f.domainRegion).range(f.field);
+  checkFnArg(f, i, column.size());
+  return column[static_cast<std::size_t>(i)];
 }
 
 BatchFn::BatchFn(const World& world, const FnDef& fn) : fn_(&fn) {
@@ -131,6 +149,15 @@ BatchFn::BatchFn(const World& world, const FnDef& fn) : fn_(&fn) {
     case FnKind::Affine:
       break;
   }
+}
+
+void BatchFn::throwOutOfDomain(Index i) const {
+  checkFnArg(*fn_, i, idxColumn_.size());
+  DPART_UNREACHABLE("throwOutOfDomain called with an argument in bounds");
+}
+
+void BatchFn::throwRangeValued() const {
+  throw Error("point() on range-valued function '" + fn_->id + "'");
 }
 
 void BatchFn::points(Run in, std::span<Index> out) const {

@@ -35,7 +35,29 @@ class BatchFn {
   /// range-valued fn.
   void ranges(Run in, std::span<Run> out) const;
 
+  /// fn(i) for a point-valued fn. A field-backed fn checks i against its
+  /// column and throws Error when it lies outside, as a load does.
+  [[nodiscard]] Index point(Index i) const {
+    switch (fn_->kind) {
+      case FnKind::Identity:
+        return i;
+      case FnKind::FieldPtr:
+        if (i < 0 || i >= static_cast<Index>(idxColumn_.size())) {
+          throwOutOfDomain(i);
+        }
+        return idxColumn_[static_cast<std::size_t>(i)];
+      case FnKind::Affine:
+        return fn_->point(i);
+      case FnKind::FieldRange:
+        break;
+    }
+    throwRangeValued();
+  }
+
  private:
+  [[noreturn]] void throwOutOfDomain(Index i) const;
+  [[noreturn]] void throwRangeValued() const;
+
   const FnDef* fn_;
   std::span<const Index> idxColumn_;  // FieldPtr: the backing column
   std::span<const Run> rangeColumn_;  // FieldRange: the backing column
@@ -83,10 +105,11 @@ class World {
   /// Ids of all user-defined functions (excludes the implicit identity).
   [[nodiscard]] std::vector<std::string> fnIds() const;
 
-  /// Evaluates a point-valued function at index i.
+  /// Evaluates a point-valued function at index i. A field-backed function
+  /// throws Error when i lies outside its domain region.
   [[nodiscard]] Index evalPoint(const std::string& fnId, Index i) const;
 
-  /// Evaluates a range-valued function at index i.
+  /// Evaluates a range-valued function at index i, checked like evalPoint.
   [[nodiscard]] Run evalRange(const std::string& fnId, Index i) const;
 
   /// Canonical id for a FieldPtr/FieldRange fn: "R[.].field".

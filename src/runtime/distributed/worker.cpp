@@ -6,7 +6,6 @@
 #include <thread>
 #include <vector>
 
-#include "ir/interp.hpp"
 #include "runtime/distributed/wire.hpp"
 #include "runtime/task_exec.hpp"
 #include "support/check.hpp"
@@ -59,28 +58,27 @@ const parallelize::PlannedLoop* findLoop(const parallelize::ParallelPlan& plan,
 /// Runs one task with exactly the in-process executor's machinery
 /// (runtime/task_exec) and packages its observable effect: the in-place
 /// write footprint's values plus the buffered-reduction contributions.
-ResultMsg runTask(const WorkerConfig& cfg, const TaskMsg& task) {
+ResultMsg runTask(const WorkerConfig& cfg, KernelCache& kernels,
+                  const TaskMsg& task) {
   const ThreadCpuTimer timer;
   const parallelize::PlannedLoop* loop = findLoop(*cfg.plan, task.loop);
   DPART_CHECK(loop != nullptr, "worker has no loop named '" + task.loop + "'");
   const std::size_t j = static_cast<std::size_t>(task.piece);
-  const auto& env = *cfg.env;
-  const region::Partition& iter = env.at(loop->iterPartition);
+  const region::Partition& iter = cfg.env->at(loop->iterPartition);
   DPART_CHECK(j < iter.count(), "task piece out of range");
 
   // Overwrite the stale cells with the coordinator's authoritative values
   // (the explicit ghost-region exchange).
   for (const FieldSlice& s : task.refresh) applySlice(*cfg.world, s);
 
-  // Ownership guards, hooks and footprints come from the in-process path's
-  // own functions over the same (fork-inherited) partitions, so both
-  // backends make identical write/skip decisions.
-  const OwnershipGuards guards(*loop, iter);
+  // The kernel, its ownership guards and the footprint come from the
+  // in-process path's own functions over the same (fork-inherited)
+  // partitions, so both backends make identical write/skip decisions.
+  const TaskKernel& kernel = kernels.kernel(*loop);
   const TaskFootprint footprint =
-      buildFootprint(*cfg.world, *loop, j, env, guards.of(j));
-  TaskHooks hooks(*loop, j, env, cfg.validateAccesses, guards.of(j));
-  ir::LoopRunner runner(*cfg.world, *loop->loop);
-  runner.run(iter.sub(j), &hooks);
+      buildFootprint(*cfg.world, *loop, j, *cfg.env, kernel.ownership(j));
+  TaskState state(kernel);
+  kernel.run(j, iter.sub(j), state);
 
   ResultMsg result;
   result.seq = task.seq;
@@ -89,7 +87,7 @@ ResultMsg runTask(const WorkerConfig& cfg, const TaskMsg& task) {
     result.writes.push_back(
         gatherSlice(*cfg.world, p.region, p.field, p.indices));
   }
-  result.reduces = hooks.contributions();
+  result.reduces = state.contributions();
   result.taskSeconds = timer.seconds();
   return result;
 }
@@ -102,6 +100,9 @@ int workerMain(const WorkerConfig& cfg) {
   // address space; there is no clean-join handshake to get wrong.
   heartbeat.detach();
 
+  // The fleet's partitions never change (a re-evaluation respawns it), so
+  // the kernels built for its first tasks serve every later one.
+  KernelCache kernels(*cfg.world, *cfg.env, cfg.validateAccesses);
   try {
     for (;;) {
       waitReadable(cfg.dataFd);
@@ -122,7 +123,7 @@ int workerMain(const WorkerConfig& cfg) {
         return 2;  // malformed Task payload that passed CRC: give up
       }
       try {
-        const ResultMsg result = runTask(cfg, task);
+        const ResultMsg result = runTask(cfg, kernels, task);
         sendFrame(cfg.dataFd, MsgType::Result, encodeResult(result),
                   cfg.nodeId);
       } catch (const Error& e) {

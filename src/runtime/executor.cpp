@@ -200,9 +200,12 @@ void PlanExecutor::runLoop(const parallelize::PlannedLoop& loop) {
 
 LaunchStats PlanExecutor::runInProcess(const parallelize::PlannedLoop& loop,
                                        const Partition& iter) {
-  const OwnershipGuards guards(loop, iter);
-  ir::LoopRunner runner(world_, *loop.loop);
   const auto& env = partitions();
+  if (!kernels_.has_value() || kernelsEpoch_ != prepareEpoch_) {
+    kernels_.emplace(world_, env, options_.validateAccesses);
+    kernelsEpoch_ = prepareEpoch_;
+  }
+  const TaskKernel& kernel = kernels_->kernel(loop);
   const ResilienceOptions& res = options_.resilience;
   LaunchStats stats;
   // Per-piece task CPU seconds for this launch — the adaptive
@@ -216,7 +219,6 @@ LaunchStats PlanExecutor::runInProcess(const parallelize::PlannedLoop& loop,
 
   pool_.parallelFor(pieces_, [&](std::size_t j) {
     const ThreadCpuTimer taskTimer;
-    const IndexSet* own = guards.of(j);
     const IndexSet& iters = iter.sub(j);
     // Task j of every launch runs on node liveNodes_[j].
     const std::size_t nodeId = liveNodes_[j];
@@ -230,16 +232,16 @@ LaunchStats PlanExecutor::runInProcess(const parallelize::PlannedLoop& loop,
     // target of Poison faults; skip building them entirely otherwise.
     TaskFootprint footprint;
     if (res.taskReplay || res.faultInjector != nullptr) {
-      footprint = buildFootprint(world_, loop, j, env, own);
+      footprint = buildFootprint(world_, loop, j, env, kernel.ownership(j));
     }
     if (res.taskReplay) footprint.capture();
 
-    // Every attempt runs on fresh hooks, so a failed attempt's buffered
-    // contributions are dropped with it.
-    std::optional<TaskHooks> hooks;
+    // Every attempt runs on fresh task state, so a failed attempt's
+    // buffered contributions are dropped with it.
+    std::optional<TaskState> state;
     auto runOver = [&](const IndexSet& set) {
-      hooks.emplace(loop, j, env, options_.validateAccesses, own);
-      runner.run(set, &*hooks);
+      state.emplace(kernel);
+      kernel.run(j, set, *state);
     };
     runTaskAttempts(
         options_, loop.loop->name, j, nodeId, tally_,
@@ -252,7 +254,7 @@ LaunchStats PlanExecutor::runInProcess(const parallelize::PlannedLoop& loop,
             .poison = [&] { footprint.poison(); },
             .restore = [&] { footprint.restore(); },
         });
-    stats.buffered[j] = hooks->contributions();
+    stats.buffered[j] = state->contributions();
     stats.taskSeconds[j] = taskTimer.seconds();
   });
   return stats;

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "dpl/evaluator.hpp"
-#include "ir/interp.hpp"
 #include "parallelize/parallelize.hpp"
 #include "region/partition.hpp"
 #include "region/verify.hpp"
@@ -238,8 +237,13 @@ class PlanExecutor {
   /// ExecBackend::MultiProcess.
   std::unique_ptr<dist::Coordinator> coordinator_;
   /// Bumped by every successful preparePartitions(): the Coordinator
-  /// respawns its fork-inherited worker fleet when this changes.
+  /// respawns its fork-inherited worker fleet, and runInProcess rebuilds
+  /// its task kernels, when this changes.
   std::uint64_t prepareEpoch_ = 0;
+  /// The in-process task kernels and owner tables, built against prepare
+  /// epoch kernelsEpoch_.
+  std::optional<KernelCache> kernels_;
+  std::uint64_t kernelsEpoch_ = 0;
   std::uint64_t planHash_ = 0;
   std::uint64_t launchesDone_ = 0;
   std::size_t checkpointRestores_ = 0;

@@ -61,130 +61,434 @@ FieldSlice gatherSlice(region::World& world, const std::string& regionName,
 
 void applySlice(region::World& world, const FieldSlice& slice) {
   auto column = world.region(slice.region).f64(slice.field);
+  DPART_CHECK(slice.values.size() ==
+                  static_cast<std::size_t>(slice.indices.size()),
+              "field slice value/index count mismatch");
+  // A slice may come off the wire: check its extent before writing.
+  if (!slice.indices.empty() &&
+      (slice.indices.lowerBound() < 0 ||
+       slice.indices.upperBound() > static_cast<Index>(column.size()))) {
+    throw Error("field slice " + slice.region + "." + slice.field + " " +
+                slice.indices.toString() + " exceeds its column of size " +
+                std::to_string(column.size()));
+  }
   std::size_t k = 0;
   slice.indices.forEach([&](Index i) {
     column[static_cast<std::size_t>(i)] = slice.values[k++];
   });
 }
 
-TaskHooks::TaskHooks(const parallelize::PlannedLoop& loop, std::size_t piece,
-                     const std::map<std::string, Partition>& env,
-                     bool validate, const IndexSet* ownership)
-    : loop_(loop), piece_(piece), env_(env), validate_(validate),
-      ownership_(ownership) {
-  for (const auto& [stmtId, rp] : loop.reduces) {
-    ReduceState st;
-    st.strategy = rp.strategy;
-    if (rp.strategy == ReduceStrategy::Guarded) {
-      st.guard = &env.at(rp.partition).sub(piece);
-    } else if (rp.strategy == ReduceStrategy::PrivateSplit) {
-      st.privSet = &env.at(rp.privatePart).sub(piece);
+OwnerTable::OwnerTable(const Partition& partition, bool firstClaim)
+    : partition_(&partition) {
+  Index extent = 0;
+  for (const IndexSet& sub : partition.subregions()) {
+    if (sub.empty()) continue;
+    DPART_CHECK(sub.lowerBound() >= 0, "negative index in partition of " +
+                                           partition.regionName());
+    extent = std::max(extent, sub.upperBound());
+  }
+  owner_.assign(static_cast<std::size_t>(extent), kNone);
+  for (std::size_t j = 0; j < partition.count(); ++j) {
+    const auto piece = static_cast<std::int32_t>(j);
+    for (const region::Run& r : partition.sub(j).runs()) {
+      for (Index i = r.lo; i < r.hi; ++i) {
+        std::int32_t& o = owner_[static_cast<std::size_t>(i)];
+        if (o == kNone) {
+          o = piece;
+        } else if (!firstClaim) {
+          o = kShared;
+        }
+      }
     }
-    reduces_.emplace(stmtId, std::move(st));
   }
 }
 
-void TaskHooks::onAccess(const ir::Stmt& stmt, Index target) {
-  if (!validate_) return;
-  auto it = loop_.accessPartition.find(stmt.id);
-  if (it == loop_.accessPartition.end()) {
+const OwnerTable& KernelCache::owners(const std::string& symbol,
+                                      bool firstClaim) {
+  return tables_
+      .try_emplace(std::make_pair(symbol, firstClaim), env_.at(symbol),
+                   firstClaim)
+      .first->second;
+}
+
+const TaskKernel& KernelCache::kernel(const parallelize::PlannedLoop& loop) {
+  std::unique_ptr<TaskKernel>& k = kernels_[&loop];
+  if (k == nullptr) {
+    k = std::make_unique<TaskKernel>(world_, loop, env_, validate_, *this);
+  }
+  return *k;
+}
+
+TaskKernel::TaskKernel(region::World& world,
+                       const parallelize::PlannedLoop& loop,
+                       const std::map<std::string, Partition>& env,
+                       bool validate, KernelCache& tables)
+    : world_(world),
+      loop_(loop),
+      env_(env),
+      validate_(validate),
+      guards_(loop, env.at(loop.iterPartition)) {
+  if (guards_.active()) {
+    ownerTable_ = &tables.owners(loop.iterPartition, /*firstClaim=*/true);
+  }
+  loopVarSlot_ = slot(loop.loop->loopVar, Type::Idx);
+  ops_ = compile(loop.loop->body, tables);
+}
+
+int TaskKernel::slot(const std::string& var, Type type) {
+  DPART_CHECK(!var.empty(), "empty variable name");
+  auto [it, inserted] = vars_.try_emplace(var, type, 0);
+  if (inserted) {
+    it->second.second = slots_[static_cast<int>(type)]++;
+  } else if (it->second.first != type) {
+    throw Error("variable '" + var + "' of loop " + loop_.loop->name +
+                " is used with two types");
+  }
+  return it->second.second;
+}
+
+std::vector<TaskKernel::Op> TaskKernel::compile(
+    const std::vector<ir::Stmt>& stmts, KernelCache& tables) {
+  using ir::StmtKind;
+  std::vector<Op> ops;
+  ops.reserve(stmts.size());
+  for (const ir::Stmt& s : stmts) {
+    Op op;
+    op.stmt = &s;
+    // Loads, stores and reduces access a region element.
+    region::Region* region = nullptr;
+    if (s.kind == StmtKind::LoadF64 || s.kind == StmtKind::LoadIdx ||
+        s.kind == StmtKind::LoadRange || s.kind == StmtKind::StoreF64 ||
+        s.kind == StmtKind::ReduceF64) {
+      region = &world_.region(s.region);
+      op.size = region->size();
+      op.idx = slot(s.idxVar, Type::Idx);
+      if (auto it = loop_.accessPartition.find(s.id);
+          it != loop_.accessPartition.end()) {
+        op.accessSymbol = &it->second;
+        if (auto pit = env_.find(it->second); pit != env_.end()) {
+          op.access = &pit->second;
+        }
+      }
+    }
+    switch (s.kind) {
+      case StmtKind::LoadF64:
+        op.code = Code::LoadF64;
+        op.f64 = region->f64(s.field).data();
+        op.dst = slot(s.var, Type::F64);
+        break;
+      case StmtKind::LoadIdx:
+        op.code = Code::LoadIdx;
+        op.idxColumn = region->idx(s.field).data();
+        op.dst = slot(s.var, Type::Idx);
+        break;
+      case StmtKind::LoadRange:
+        op.code = Code::LoadRange;
+        op.runColumn = region->range(s.field).data();
+        op.dst = slot(s.var, Type::Run);
+        break;
+      case StmtKind::StoreF64:
+      case StmtKind::ReduceF64: {
+        const bool store = s.kind == StmtKind::StoreF64;
+        op.code = store ? Code::Store : Code::Reduce;
+        op.reduceOp = s.op;
+        op.f64 = region->f64(s.field).data();
+        op.src = slot(s.src, Type::F64);
+        auto rit = loop_.reduces.find(s.id);
+        if (store || rit == loop_.reduces.end()) {
+          // A centered write: ownership-guarded under an aliased iteration
+          // partition.
+          if (ownerTable_ != nullptr) {
+            op.mode = WriteMode::Owned;
+            op.owners = ownerTable_;
+          }
+          break;
+        }
+        const optimize::ReducePlan& rp = rit->second;
+        switch (rp.strategy) {
+          case ReduceStrategy::Direct:
+            break;
+          case ReduceStrategy::Guarded:
+            op.mode = WriteMode::Guarded;
+            op.owners = &tables.owners(rp.partition, /*firstClaim=*/false);
+            // The guard rejects stray targets before any memory access, so
+            // validation checks only that a partition was assigned.
+            op.checkTarget = false;
+            break;
+          case ReduceStrategy::PrivateSplit:
+            op.mode = WriteMode::PrivateSplit;
+            op.owners = &tables.owners(rp.privatePart, /*firstClaim=*/false);
+            break;
+          case ReduceStrategy::Buffered:
+            op.mode = WriteMode::Buffered;
+            break;
+        }
+        if (op.mode == WriteMode::PrivateSplit ||
+            op.mode == WriteMode::Buffered) {
+          op.buffer = static_cast<int>(buffers_.size());
+          buffers_.emplace_back(s.id, s.op);
+        }
+        break;
+      }
+      case StmtKind::ApplyFn:
+        DPART_CHECK(world_.hasFn(s.fn), "unknown fn '" + s.fn + "'");
+        op.code = Code::ApplyFn;
+        op.fn.emplace(world_, world_.fn(s.fn));
+        op.idx = slot(s.idxVar, Type::Idx);
+        op.dst = slot(s.var, Type::Idx);
+        break;
+      case StmtKind::Alias: {
+        auto it = vars_.find(s.src);
+        const Type type = it == vars_.end() ? Type::F64 : it->second.first;
+        op.code = type == Type::F64   ? Code::CopyF64
+                  : type == Type::Idx ? Code::CopyIdx
+                                      : Code::CopyRun;
+        op.src = slot(s.src, type);
+        op.dst = slot(s.var, type);
+        break;
+      }
+      case StmtKind::Compute:
+        DPART_CHECK(s.compute != nullptr,
+                    "compute stmt without evaluator in loop " +
+                        loop_.loop->name);
+        op.code = Code::Compute;
+        for (const std::string& a : s.args) {
+          op.args.push_back(slot(a, Type::F64));
+        }
+        maxArgs_ = std::max(maxArgs_, op.args.size());
+        op.dst = slot(s.var, Type::F64);
+        break;
+      case StmtKind::InnerLoop:
+        op.code = Code::Inner;
+        op.src = slot(s.rangeVar, Type::Run);
+        op.dst = slot(s.loopVar, Type::Idx);
+        op.body = compile(s.body, tables);
+        break;
+    }
+    ops.push_back(std::move(op));
+  }
+  return ops;
+}
+
+void TaskKernel::checkAccess(const Op& op, std::size_t piece, Index t) const {
+  const ir::Stmt& stmt = *op.stmt;
+  if (op.accessSymbol == nullptr) {
     ErrorContext ctx;
     ctx.loop = loop_.loop->name;
     ctx.stmtId = stmt.id;
-    ctx.piece = static_cast<int>(piece_);
+    ctx.piece = static_cast<int>(piece);
     throw PartitionViolation(
         "access with no assigned partition: " + stmt.toString(),
         std::move(ctx));
   }
-  const IndexSet& sub = env_.at(it->second).sub(piece_);
-  // Guarded reductions may compute targets outside the task's subregion;
-  // the guard rejects them before any memory access, so only *applied*
-  // accesses are checked (handled in handleReduce).
-  auto rit = reduces_.find(stmt.id);
-  if (rit != reduces_.end() &&
-      (rit->second.strategy == ReduceStrategy::Guarded)) {
-    return;
-  }
-  if (!sub.contains(target)) {
-    ErrorContext ctx;
-    ctx.loop = loop_.loop->name;
-    ctx.partition = it->second;
-    ctx.field = stmt.region + "." + stmt.field;
-    ctx.stmtId = stmt.id;
-    ctx.index = target;
-    ctx.piece = static_cast<int>(piece_);
-    throw PartitionViolation(
-        "illegal access: " + stmt.toString() + " touches index " +
-            std::to_string(target) + " outside subregion " +
-            std::to_string(piece_) + " of " + it->second,
-        std::move(ctx));
-  }
+  DPART_CHECK(op.access != nullptr,
+              "access partition '" + *op.accessSymbol + "' was not evaluated");
+  if (!op.checkTarget || op.access->sub(piece).contains(t)) return;
+  ErrorContext ctx;
+  ctx.loop = loop_.loop->name;
+  ctx.partition = *op.accessSymbol;
+  ctx.field = stmt.region + "." + stmt.field;
+  ctx.stmtId = stmt.id;
+  ctx.index = t;
+  ctx.piece = static_cast<int>(piece);
+  throw PartitionViolation(
+      "illegal access: " + stmt.toString() + " touches index " +
+          std::to_string(t) + " outside subregion " + std::to_string(piece) +
+          " of " + *op.accessSymbol,
+      std::move(ctx));
 }
 
-bool TaskHooks::shouldWrite(const ir::Stmt&, Index target) {
-  return ownership_ == nullptr || ownership_->contains(target);
+namespace {
+
+[[noreturn]] void outOfBounds(const ir::Stmt& stmt, Index t, Index size) {
+  throw Error("index out of bounds in " + stmt.toString() + ": " +
+              std::to_string(t) + " not in [0, " + std::to_string(size) +
+              ")");
 }
 
-bool TaskHooks::handleReduce(const ir::Stmt& stmt, Index target,
-                             double value) {
-  auto it = reduces_.find(stmt.id);
-  if (it == reduces_.end()) {
-    // Centered reduction: ownership-guarded under aliased iteration.
-    if (ownership_ != nullptr && !ownership_->contains(target)) {
-      return true;  // another task owns this duplicated iteration
+}  // namespace
+
+template <bool kValidate>
+void TaskKernel::exec(const std::vector<Op>& ops, std::size_t piece,
+                      TaskState& state) const {
+  double* const f = state.f64_.data();
+  Index* const x = state.idx_.data();
+  region::Run* const r = state.runs_.data();
+  // The accessed element of a load, store or reduce, bounds-checked (and
+  // checked against the task's subregion under validation).
+  auto target = [&](const Op& op) {
+    const Index t = x[op.idx];
+    if (t < 0 || t >= op.size) outOfBounds(*op.stmt, t, op.size);
+    if constexpr (kValidate) checkAccess(op, piece, t);
+    return static_cast<std::size_t>(t);
+  };
+  for (const Op& op : ops) {
+    switch (op.code) {
+      case Code::LoadF64:
+        f[op.dst] = op.f64[target(op)];
+        break;
+      case Code::LoadIdx:
+        x[op.dst] = op.idxColumn[target(op)];
+        break;
+      case Code::LoadRange:
+        r[op.dst] = op.runColumn[target(op)];
+        break;
+      case Code::Store: {
+        const std::size_t t = target(op);
+        if (op.mode == WriteMode::Owned &&
+            !op.owners->owns(piece, static_cast<Index>(t))) {
+          break;  // another task owns this duplicated iteration
+        }
+        op.f64[t] = f[op.src];
+        break;
+      }
+      case Code::Reduce: {
+        const std::size_t t = target(op);
+        const double v = f[op.src];
+        switch (op.mode) {
+          case WriteMode::Plain:
+            break;
+          case WriteMode::Owned:
+          case WriteMode::Guarded:
+            if (!op.owners->owns(piece, static_cast<Index>(t))) {
+              continue;  // another task applies this target
+            }
+            break;
+          case WriteMode::PrivateSplit:
+            if (op.owners->owns(piece, static_cast<Index>(t))) break;
+            [[fallthrough]];
+          case WriteMode::Buffered: {
+            auto& acc = state.buffers_[static_cast<std::size_t>(op.buffer)].acc;
+            double& cell = acc.try_emplace(static_cast<Index>(t),
+                                           ir::reduceIdentity(op.reduceOp))
+                               .first->second;
+            cell = ir::applyReduce(op.reduceOp, cell, v);
+            continue;  // merged after the launch
+          }
+        }
+        op.f64[t] = ir::applyReduce(op.reduceOp, op.f64[t], v);
+        break;
+      }
+      case Code::ApplyFn:
+        x[op.dst] = op.fn->point(x[op.idx]);
+        break;
+      case Code::CopyF64:
+        f[op.dst] = f[op.src];
+        break;
+      case Code::CopyIdx:
+        x[op.dst] = x[op.src];
+        break;
+      case Code::CopyRun:
+        r[op.dst] = r[op.src];
+        break;
+      case Code::Compute: {
+        double* const args = state.args_.data();
+        for (std::size_t k = 0; k < op.args.size(); ++k) {
+          args[k] = f[op.args[k]];
+        }
+        f[op.dst] = op.stmt->compute(
+            std::span<const double>(args, op.args.size()));
+        break;
+      }
+      case Code::Inner: {
+        const region::Run range = r[op.src];
+        for (Index k = range.lo; k < range.hi; ++k) {
+          x[op.dst] = k;
+          exec<kValidate>(op.body, piece, state);
+        }
+        break;
+      }
     }
-    return false;
   }
-  ReduceState& st = it->second;
-  st.op = stmt.op;
-  switch (st.strategy) {
-    case ReduceStrategy::Direct:
-      return false;
-    case ReduceStrategy::Guarded:
-      return !st.guard->contains(target);  // skip if not ours
-    case ReduceStrategy::Buffered:
-      break;
-    case ReduceStrategy::PrivateSplit:
-      if (st.privSet->contains(target)) return false;
-      break;
-  }
-  auto [slot, inserted] =
-      st.buffer.try_emplace(target, ir::reduceIdentity(stmt.op));
-  slot->second = ir::applyReduce(stmt.op, slot->second, value);
-  return true;
 }
 
-std::vector<ReduceSlice> TaskHooks::contributions() const {
+template <bool kValidate>
+void TaskKernel::runIters(std::size_t piece, const IndexSet& iters,
+                          TaskState& state) const {
+  Index* const loopVar = state.idx_.data() + loopVarSlot_;
+  for (const region::Run& run : iters.runs()) {
+    for (Index i = run.lo; i < run.hi; ++i) {
+      *loopVar = i;
+      exec<kValidate>(ops_, piece, state);
+    }
+  }
+}
+
+void TaskKernel::run(std::size_t piece, const IndexSet& iters,
+                     TaskState& state) const {
+  if (validate_) {
+    runIters<true>(piece, iters, state);
+  } else {
+    runIters<false>(piece, iters, state);
+  }
+}
+
+TaskState::TaskState(const TaskKernel& kernel)
+    : f64_(static_cast<std::size_t>(kernel.slots_[0]), 0.0),
+      idx_(static_cast<std::size_t>(kernel.slots_[1]), 0),
+      runs_(static_cast<std::size_t>(kernel.slots_[2])),
+      args_(kernel.maxArgs_) {
+  buffers_.reserve(kernel.buffers_.size());
+  for (const auto& [stmtId, op] : kernel.buffers_) {
+    buffers_.push_back(Buffer{stmtId, op, {}});
+  }
+}
+
+std::vector<ReduceSlice> TaskState::contributions() const {
   std::vector<ReduceSlice> out;
-  for (const auto& [stmtId, st] : reduces_) {
-    if (st.buffer.empty()) continue;
+  for (const Buffer& b : buffers_) {
+    if (b.acc.empty()) continue;
     ReduceSlice rs;
-    rs.stmtId = stmtId;
-    rs.op = static_cast<std::uint8_t>(st.op);
+    rs.stmtId = b.stmtId;
+    rs.op = static_cast<std::uint8_t>(b.op);
     // Sorted for determinism across unordered_map iteration orders.
-    rs.entries.assign(st.buffer.begin(), st.buffer.end());
+    rs.entries.assign(b.acc.begin(), b.acc.end());
     std::sort(rs.entries.begin(), rs.entries.end());
     out.push_back(std::move(rs));
   }
+  std::sort(out.begin(), out.end(),
+            [](const ReduceSlice& a, const ReduceSlice& b) {
+              return a.stmtId < b.stmtId;
+            });
   return out;
 }
 
 std::size_t mergeBuffered(
     region::World& world, const parallelize::PlannedLoop& loop,
     const std::vector<std::vector<ReduceSlice>>& pieces) {
-  std::size_t merged = 0;
+  // Contributions may come off the wire: every one is checked against its
+  // column before any is applied, so a bad one leaves the world unchanged.
+  std::vector<std::span<double>> columns;
   for (const std::vector<ReduceSlice>& slices : pieces) {
     for (const ReduceSlice& rs : slices) {
       const ir::Stmt* stmt = loop.loop->findStmt(static_cast<int>(rs.stmtId));
-      DPART_CHECK(stmt != nullptr, "buffered contribution names unknown "
-                                   "reduce stmt " +
-                                       std::to_string(rs.stmtId));
+      DPART_CHECK(stmt != nullptr && stmt->kind == ir::StmtKind::ReduceF64,
+                  "buffered contribution names unknown reduce stmt " +
+                      std::to_string(rs.stmtId));
+      DPART_CHECK(rs.op <= static_cast<std::uint8_t>(ir::ReduceOp::Max),
+                  "buffered contribution has a bad reduce operator");
       auto column = world.region(stmt->region).f64(stmt->field);
+      for (const auto& [target, value] : rs.entries) {
+        if (target < 0 || target >= static_cast<Index>(column.size())) {
+          throw Error("buffered contribution to " + stmt->region + "." +
+                      stmt->field + " targets index " +
+                      std::to_string(target) + " outside its column of size " +
+                      std::to_string(column.size()));
+        }
+      }
+      columns.push_back(column);
+    }
+  }
+  std::size_t merged = 0;
+  auto column = columns.begin();
+  for (const std::vector<ReduceSlice>& slices : pieces) {
+    for (const ReduceSlice& rs : slices) {
       const auto op = static_cast<ir::ReduceOp>(rs.op);
       for (const auto& [target, value] : rs.entries) {
-        double& cell = column[static_cast<std::size_t>(target)];
+        double& cell = (*column)[static_cast<std::size_t>(target)];
         cell = ir::applyReduce(op, cell, value);
       }
+      ++column;
       merged += rs.entries.size();
     }
   }

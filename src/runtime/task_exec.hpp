@@ -5,13 +5,15 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "ir/interp.hpp"
+#include "ir/ir.hpp"
 #include "parallelize/parallelize.hpp"
 #include "region/partition.hpp"
 #include "region/world.hpp"
@@ -57,21 +59,203 @@ struct ReduceSlice {
                                      const std::string& field,
                                      region::IndexSet indices);
 
-/// Writes a slice's values back into its column.
+/// Writes a slice's values back into its column. Throws Error, writing
+/// nothing, when the slice reaches outside the column.
 void applySlice(region::World& world, const FieldSlice& slice);
 
-/// Per-task execution hooks implementing the plan's reduction strategies and
-/// (optionally) access validation.
-class TaskHooks final : public ir::ExecHooks {
+/// A loop's ownership guards. Duplicated iterations (an aliased iteration
+/// partition, Section 5.1 relaxation) could apply a centered write (a
+/// store, or a reduce with no planned strategy) twice; each piece then owns
+/// the indices no lower-numbered piece contains (first claim), so every
+/// write applies exactly once. A task kernel derives them once per prepare
+/// epoch; the multi-process coordinator, per launch, for its refreshes.
+class OwnershipGuards {
  public:
-  TaskHooks(const parallelize::PlannedLoop& loop, std::size_t piece,
-            const std::map<std::string, region::Partition>& env, bool validate,
-            const region::IndexSet* ownership);
+  OwnershipGuards(const parallelize::PlannedLoop& loop,
+                  const region::Partition& iter);
 
-  void onAccess(const ir::Stmt& stmt, region::Index target) override;
-  bool shouldWrite(const ir::Stmt&, region::Index target) override;
-  bool handleReduce(const ir::Stmt& stmt, region::Index target,
-                    double value) override;
+  /// Whether the launch needs guards at all.
+  [[nodiscard]] bool active() const { return !owned_.empty(); }
+
+  /// Piece j's ownership set, or nullptr when the launch needs no guards.
+  [[nodiscard]] const region::IndexSet* of(std::size_t piece) const {
+    return owned_.empty() ? nullptr : &owned_[piece];
+  }
+
+ private:
+  std::vector<region::IndexSet> owned_;
+};
+
+/// One piece id per element of a region: the membership table a task
+/// kernel's guarded, private-split and owned writes read, built once per
+/// prepare epoch from a partition.
+class OwnerTable {
+ public:
+  /// With `firstClaim`, an element in several subregions belongs to the
+  /// lowest-numbered one: the ownership rule for aliased iteration
+  /// partitions. Otherwise such an element is marked shared and tested
+  /// against the subregions themselves, so the table answers exactly what
+  /// IndexSet::contains would even for a partition that breaks the plan's
+  /// disjointness (guard and private partitions are disjoint in a valid
+  /// plan, so their tables hold no shared element).
+  OwnerTable(const region::Partition& partition, bool firstClaim);
+
+  /// Whether piece `piece` owns element i.
+  [[nodiscard]] bool owns(std::size_t piece, region::Index i) const {
+    if (static_cast<std::uint64_t>(i) >= owner_.size()) return false;
+    const std::int32_t o = owner_[static_cast<std::size_t>(i)];
+    if (o >= 0) return static_cast<std::size_t>(o) == piece;
+    return o == kShared && partition_->sub(piece).contains(i);
+  }
+
+ private:
+  static constexpr std::int32_t kNone = -1;
+  static constexpr std::int32_t kShared = -2;
+
+  const region::Partition* partition_;
+  std::vector<std::int32_t> owner_;
+};
+
+/// How a task kernel applies one store or reduce: the plan's Section 5
+/// strategy for it, resolved once when the kernel is built.
+enum class WriteMode : std::uint8_t {
+  /// In place. Stores and centered reduces under a disjoint iteration
+  /// partition, and Direct reductions.
+  Plain,
+  /// In place when the task owns the target under its aliased iteration
+  /// partition (first claim), else skipped: stores and centered reduces
+  /// whose loop iterates an aliased partition.
+  Owned,
+  /// In place when the target lies in the task's guard subregion, else
+  /// skipped (Guarded, Section 5.1).
+  Guarded,
+  /// In place inside the task's private subregion, buffered elsewhere
+  /// (PrivateSplit, Theorem 5.1).
+  PrivateSplit,
+  /// Always into the task's buffer, merged after the launch (Buffered).
+  Buffered,
+};
+
+class KernelCache;
+class TaskState;
+
+/// A planned loop compiled against one World and one prepare epoch's
+/// partitions: every column pointer, fn, variable slot and write mode a
+/// task would otherwise look up per element is resolved here once. A task
+/// then runs over its iteration runs with no virtual call, map find or
+/// string lookup per element.
+///
+/// A kernel holds column pointers across launches. That is safe because a
+/// column is never reallocated once its field exists, and a checkpoint
+/// restore copies values into the existing columns (region/snapshot.cpp,
+/// commit step). Partitions change only with the prepare epoch, and the
+/// kernel is rebuilt with it.
+class TaskKernel {
+ public:
+  TaskKernel(region::World& world, const parallelize::PlannedLoop& loop,
+             const std::map<std::string, region::Partition>& env,
+             bool validate, KernelCache& tables);
+
+  TaskKernel(const TaskKernel&) = delete;
+  TaskKernel& operator=(const TaskKernel&) = delete;
+
+  /// Runs piece `piece`'s iterations `iters` in ascending order; buffered
+  /// contributions accumulate in `state`. With validation, every access is
+  /// checked against the subregion its statement was assigned (Guarded
+  /// reduces excepted: their guard filters targets instead) and a stray
+  /// one throws PartitionViolation.
+  void run(std::size_t piece, const region::IndexSet& iters,
+           TaskState& state) const;
+
+  /// Piece j's ownership set, or nullptr when the loop needs no ownership
+  /// guards.
+  [[nodiscard]] const region::IndexSet* ownership(std::size_t piece) const {
+    return guards_.of(piece);
+  }
+
+ private:
+  friend class TaskState;
+
+  enum class Code : std::uint8_t {
+    LoadF64,
+    LoadIdx,
+    LoadRange,
+    Store,
+    Reduce,
+    ApplyFn,
+    CopyF64,
+    CopyIdx,
+    CopyRun,
+    Compute,
+    Inner,
+  };
+
+  /// One statement, resolved. Slot numbers index TaskState's typed arrays
+  /// (double, index or run, as the code implies).
+  struct Op {
+    Code code = Code::Compute;
+    WriteMode mode = WriteMode::Plain;
+    ir::ReduceOp reduceOp = ir::ReduceOp::Sum;
+    int dst = -1;     // slot defined
+    int idx = -1;     // slot of the accessed index or the fn argument
+    int src = -1;     // slot of the stored, reduced or copied value
+    int buffer = -1;  // PrivateSplit / Buffered: TaskState buffer
+    region::Index size = 0;  // accessed column's length
+    double* f64 = nullptr;
+    const region::Index* idxColumn = nullptr;
+    const region::Run* runColumn = nullptr;
+    const OwnerTable* owners = nullptr;  // Owned / Guarded / PrivateSplit
+    std::optional<region::BatchFn> fn;   // ApplyFn
+    const ir::Stmt* stmt = nullptr;
+    std::vector<int> args;  // Compute: double slots
+    std::vector<Op> body;   // Inner
+    // validateAccesses: the assigned access partition (symbol nullptr when
+    // the planner assigned none), and whether targets are checked at all.
+    const std::string* accessSymbol = nullptr;
+    const region::Partition* access = nullptr;
+    bool checkTarget = true;
+  };
+
+  /// The three slot arrays of a TaskState.
+  enum class Type : std::uint8_t { F64, Idx, Run };
+
+  /// The slot of `var`, typed `type`; a variable keeps one type for the
+  /// whole loop (the IR's admissibility rules guarantee it).
+  int slot(const std::string& var, Type type);
+  std::vector<Op> compile(const std::vector<ir::Stmt>& stmts,
+                          KernelCache& tables);
+  template <bool kValidate>
+  void runIters(std::size_t piece, const region::IndexSet& iters,
+                TaskState& state) const;
+  template <bool kValidate>
+  void exec(const std::vector<Op>& ops, std::size_t piece,
+            TaskState& state) const;
+  void checkAccess(const Op& op, std::size_t piece, region::Index t) const;
+
+  region::World& world_;
+  const parallelize::PlannedLoop& loop_;
+  const std::map<std::string, region::Partition>& env_;
+  bool validate_;
+  OwnershipGuards guards_;
+  const OwnerTable* ownerTable_ = nullptr;  // set when guards_ are
+  /// Variable name -> (type, slot), filled while compiling; slot counts
+  /// per type.
+  std::map<std::string, std::pair<Type, int>> vars_;
+  int slots_[3] = {0, 0, 0};
+  int loopVarSlot_ = -1;
+  std::size_t maxArgs_ = 0;
+  /// Stmt id and operator of each reduce that may buffer, one TaskState
+  /// buffer each.
+  std::vector<std::pair<int, ir::ReduceOp>> buffers_;
+  std::vector<Op> ops_;
+};
+
+/// One task attempt's mutable state: the kernel's typed variable slots and
+/// the buffers of its buffered reductions. Every attempt starts from a
+/// fresh state, so a failed attempt's contributions are dropped with it.
+class TaskState {
+ public:
+  explicit TaskState(const TaskKernel& kernel);
 
   /// The task's buffered-reduction contributions: one slice per reduce
   /// statement with a non-empty buffer, in ascending stmt id order, each
@@ -79,21 +263,51 @@ class TaskHooks final : public ir::ExecHooks {
   [[nodiscard]] std::vector<ReduceSlice> contributions() const;
 
  private:
-  struct ReduceState {
-    optimize::ReduceStrategy strategy = optimize::ReduceStrategy::Direct;
-    const region::IndexSet* guard = nullptr;  // Guarded: reduction subregion
-    const region::IndexSet* privSet = nullptr;  // PrivateSplit: private sub
-    std::unordered_map<region::Index, double> buffer;
+  friend class TaskKernel;
+
+  struct Buffer {
+    int stmtId = -1;
     ir::ReduceOp op = ir::ReduceOp::Sum;
+    std::unordered_map<region::Index, double> acc;
   };
 
-  const parallelize::PlannedLoop& loop_;
-  std::size_t piece_;
+  std::vector<double> f64_;
+  std::vector<region::Index> idx_;
+  std::vector<region::Run> runs_;
+  std::vector<double> args_;
+  std::vector<Buffer> buffers_;
+};
+
+/// The task kernels of one prepare epoch: built lazily, one per planned
+/// loop, sharing the owner tables they read. The in-process executor keeps
+/// one per prepare epoch; a distributed worker keeps one for its fleet's
+/// lifetime, since its fork-inherited partitions never change.
+class KernelCache {
+ public:
+  KernelCache(region::World& world,
+              const std::map<std::string, region::Partition>& env,
+              bool validate)
+      : world_(world), env_(env), validate_(validate) {}
+
+  KernelCache(const KernelCache&) = delete;
+  KernelCache& operator=(const KernelCache&) = delete;
+
+  /// The kernel of `loop`, built on first use.
+  [[nodiscard]] const TaskKernel& kernel(const parallelize::PlannedLoop& loop);
+
+ private:
+  friend class TaskKernel;
+
+  /// The owner table of partition `symbol`, built on first use.
+  [[nodiscard]] const OwnerTable& owners(const std::string& symbol,
+                                         bool firstClaim);
+
+  region::World& world_;
   const std::map<std::string, region::Partition>& env_;
   bool validate_;
-  const region::IndexSet* ownership_;
-  /// Keyed, and therefore iterated, in ascending stmt id order.
-  std::map<int, ReduceState> reduces_;
+  std::map<std::pair<std::string, bool>, OwnerTable> tables_;
+  std::map<const parallelize::PlannedLoop*, std::unique_ptr<TaskKernel>>
+      kernels_;
 };
 
 /// What a launch's tasks hand to PlanExecutor's launch tail, from either
@@ -109,7 +323,8 @@ struct LaunchStats {
 /// Merges every piece's buffered contributions into the world in piece ->
 /// stmt id -> target order, the one order both backends apply, so
 /// floating-point results are bitwise identical. Returns the number of
-/// elements merged.
+/// elements merged. Throws Error, merging nothing, when a contribution
+/// names no reduce statement of the loop or a target outside its column.
 std::size_t mergeBuffered(region::World& world,
                           const parallelize::PlannedLoop& loop,
                           const std::vector<std::vector<ReduceSlice>>& pieces);
@@ -161,25 +376,6 @@ class TaskFootprint {
     region::World& world, const parallelize::PlannedLoop& loop, std::size_t j,
     const std::map<std::string, region::Partition>& env,
     const region::IndexSet* ownership);
-
-/// A launch's ownership guards, derived once per launch. Duplicated
-/// iterations (an aliased iteration partition, Section 5.1 relaxation) could
-/// apply a centered write (a store, or a reduce with no planned strategy)
-/// twice; each piece then owns the indices no lower-numbered piece contains
-/// (first claim), so every write applies exactly once.
-class OwnershipGuards {
- public:
-  OwnershipGuards(const parallelize::PlannedLoop& loop,
-                  const region::Partition& iter);
-
-  /// Piece j's ownership set, or nullptr when the launch needs no guards.
-  [[nodiscard]] const region::IndexSet* of(std::size_t piece) const {
-    return owned_.empty() ? nullptr : &owned_[piece];
-  }
-
- private:
-  std::vector<region::IndexSet> owned_;
-};
 
 /// Deterministic prefix of an index set holding ~frac of its elements, in
 /// iteration order — the part of a task that "ran before the node died".

@@ -570,5 +570,38 @@ TEST(DistributedExec, GhostTrafficAtModelErrorDemoSizes) {
   EXPECT_EQ(spmvGhost.at("spmv"), Traffic(0, 0));
 }
 
+/// A worker's Result comes off the wire, so its write-back slices and
+/// buffered contributions may name indices outside their columns. Both are
+/// rejected before a single cell is written.
+TEST(DistributedExec, OutOfRangeSliceAndContributionAreRejected) {
+  World w;
+  w.addRegion("R", 16).addField("v", FieldType::F64);
+  auto column = w.region("R").f64("v");
+  for (std::size_t i = 0; i < column.size(); ++i) {
+    column[i] = static_cast<double>(i);
+  }
+  const std::vector<double> before(column.begin(), column.end());
+
+  const runtime::FieldSlice slice{"R", "v", region::IndexSet::interval(14, 20),
+                                  std::vector<double>(6, -1.0)};
+  EXPECT_THROW(runtime::applySlice(w, slice), Error);
+
+  ir::LoopBuilder b("scatter", "i", "R");
+  b.loadF64("x", "R", "v", "i");
+  b.reduce("R", "v", "i", "x");
+  const ir::Loop loop = b.build();
+  parallelize::PlannedLoop planned;
+  planned.loop = &loop;
+  const int reduceId = loop.body[1].id;
+  // The in-range entry of the first piece must not land either.
+  const std::vector<std::vector<runtime::ReduceSlice>> pieces = {
+      {runtime::ReduceSlice{reduceId, 0, {{3, 100.0}}}},
+      {runtime::ReduceSlice{reduceId, 0, {{5, 1.0}, {16, 1.0}}}},
+  };
+  EXPECT_THROW((void)runtime::mergeBuffered(w, planned, pieces), Error);
+
+  EXPECT_EQ(std::vector<double>(column.begin(), column.end()), before);
+}
+
 }  // namespace
 }  // namespace dpart

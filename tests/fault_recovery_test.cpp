@@ -92,7 +92,9 @@ ir::Program makeStrategyProgram(std::uint64_t seed, bool blockRelaxation,
 
 // A multi-loop integration program: a centered copy plus three scatter
 // loops whose partition symbols unify across loops. Exercises replay with
-// several loop launches per step and ownership-guarded centered writes.
+// several loop launches per step. Every iteration partition it gets is
+// disjoint, so no ownership guard runs here; ReduceStrategies.
+// OwnershipGuardsApplyDuplicatedCenteredWritesOnce covers those.
 ir::Program makeIntegrationProgram(std::uint64_t seed) {
   const ir::ReduceOp op1 = opFor(seed);
   const ir::ReduceOp op2 = opFor(seed / 3);

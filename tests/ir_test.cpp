@@ -167,45 +167,6 @@ TEST_F(InterpTest, InnerLoopOverRanges) {
   EXPECT_EQ(total[1], 3.0 + 4 + 5 + 6 + 7);
 }
 
-TEST_F(InterpTest, HooksObserveAndGuard) {
-  struct CountingHooks : ExecHooks {
-    int accesses = 0;
-    int reducesHandled = 0;
-    void onAccess(const Stmt&, Index) override { ++accesses; }
-    bool handleReduce(const Stmt&, Index, double) override {
-      ++reducesHandled;
-      return true;  // swallow all reductions
-    }
-  };
-  LoopBuilder b("acc", "i", "R");
-  b.loadF64("x", "R", "a", "i");
-  b.reduce("R", "b", "i", "x");
-  Loop loop = b.build();
-  LoopRunner runner(world, loop);
-  CountingHooks hooks;
-  runner.runAll(&hooks);
-  EXPECT_EQ(hooks.accesses, 16);        // one load + one reduce per element
-  EXPECT_EQ(hooks.reducesHandled, 8);
-  auto bcol = world.region("R").f64("b");
-  EXPECT_EQ(bcol[5], 0.0);  // reductions were swallowed by the hook
-}
-
-TEST_F(InterpTest, WriteGuardSkipsNonOwned) {
-  struct OwnerHooks : ExecHooks {
-    bool shouldWrite(const Stmt&, Index t) override { return t % 2 == 0; }
-  };
-  LoopBuilder b("copy", "i", "R");
-  b.loadF64("x", "R", "a", "i");
-  b.store("R", "b", "i", "x");
-  Loop loop = b.build();
-  LoopRunner runner(world, loop);
-  OwnerHooks hooks;
-  runner.runAll(&hooks);
-  auto bcol = world.region("R").f64("b");
-  EXPECT_EQ(bcol[2], 2.0);
-  EXPECT_EQ(bcol[3], 0.0);
-}
-
 TEST_F(InterpTest, OutOfBoundsAccessThrows) {
   world.defineAffineFn("oob", "R", "R", [](Index i) { return i + 100; });
   LoopBuilder b("bad", "i", "R");
@@ -215,6 +176,24 @@ TEST_F(InterpTest, OutOfBoundsAccessThrows) {
   Loop loop = b.build();
   LoopRunner runner(world, loop);
   EXPECT_THROW(runner.runAll(), Error);
+}
+
+TEST_F(InterpTest, FnArgumentOutsideItsDomainThrows) {
+  // A pointer loaded from a column feeds a field-backed fn: the fn must
+  // check its argument the way a load checks its index.
+  auto& r = world.region("R");
+  r.addField("ptr", FieldType::Idx);
+  r.addField("nbr", FieldType::Idx);
+  r.idx("ptr")[3] = 1000000;
+  world.defineFieldFn("R", "nbr", "R");
+  Program prog;
+  LoopBuilder b("chase", "i", "R");
+  b.loadIdx("c", "R", "ptr", "i");
+  b.apply("d", World::fieldFnId("R", "nbr"), "c");
+  b.loadF64("x", "R", "a", "d");
+  b.store("R", "b", "i", "x");
+  prog.loops.push_back(b.build());
+  EXPECT_THROW(runSerial(world, prog), Error);
 }
 
 TEST_F(InterpTest, RunSerialExecutesAllLoops) {

@@ -12,6 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "ir/interp.hpp"
 #include "parallelize/parallelize.hpp"
 #include "runtime/checkpoint.hpp"
@@ -178,6 +181,11 @@ TEST_P(RandomProgramTest, AutoParallelExecutionMatchesSerial) {
   runtime::PlanExecutor exec(*parallel.world, plan, pieces, opts);
   for (int step = 0; step < 2; ++step) exec.run();
 
+  // The unvalidated path, the one users run, computes the same bits.
+  FuzzCase unchecked = makeCase(seed);
+  runtime::PlanExecutor fast(*unchecked.world, plan, pieces);
+  for (int step = 0; step < 2; ++step) fast.run();
+
   for (const char* regionName : {"A", "B"}) {
     for (const std::string& field :
          serial.world->region(regionName).fieldNames()) {
@@ -187,10 +195,15 @@ TEST_P(RandomProgramTest, AutoParallelExecutionMatchesSerial) {
       }
       auto want = serial.world->region(regionName).f64(field);
       auto got = parallel.world->region(regionName).f64(field);
+      auto fastGot = unchecked.world->region(regionName).f64(field);
       for (std::size_t i = 0; i < want.size(); ++i) {
         ASSERT_NEAR(want[i], got[i], 1e-9 * (1 + std::abs(want[i])))
             << "seed " << seed << " pieces " << pieces << " " << regionName
             << "." << field << "[" << i << "]";
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                  std::bit_cast<std::uint64_t>(fastGot[i]))
+            << "seed " << seed << " unvalidated " << regionName << "."
+            << field << "[" << i << "]";
       }
     }
   }

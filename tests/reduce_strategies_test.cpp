@@ -1,10 +1,18 @@
 // Cross-product coverage: every reduction operator (Sum/Min/Max) through
 // every execution strategy the optimizer can pick (Direct via disjoint
 // reduction partitions, Guarded via relaxation, Buffered, PrivateSplit),
-// always validated against serial execution.
+// always validated against serial execution, plus the ownership guards
+// that keep duplicated centered writes single.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
+
+#include "constraint/system.hpp"
+#include "dpl/expr.hpp"
 #include "ir/interp.hpp"
 #include "parallelize/parallelize.hpp"
 #include "runtime/executor.hpp"
@@ -16,6 +24,21 @@ using optimize::ReduceStrategy;
 using region::FieldType;
 using region::Index;
 using region::World;
+
+void expectFieldsBitwiseEqual(World& want, World& got) {
+  for (const std::string& rn : want.regionNames()) {
+    for (const std::string& fn : want.region(rn).fieldNames()) {
+      if (want.region(rn).fieldType(fn) != FieldType::F64) continue;
+      auto a = want.region(rn).f64(fn);
+      auto b = got.region(rn).f64(fn);
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(a[i]),
+                  std::bit_cast<std::uint64_t>(b[i]))
+            << rn << "." << fn << "[" << i << "] " << a[i] << " != " << b[i];
+      }
+    }
+  }
+}
 
 void buildWorld(World& w) {
   w.addRegion("R", 48).addField("val", FieldType::F64);
@@ -110,6 +133,13 @@ TEST_P(ReduceStrategyTest, MatchesSerialUnderEveryStrategy) {
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_NEAR(want[i], got[i], 1e-12) << "S.acc[" << i << "]";
   }
+
+  // The unvalidated path, the one users run, computes the same bits.
+  World unchecked;
+  buildWorld(unchecked);
+  runtime::PlanExecutor fast(unchecked, plan, 4);
+  fast.run();
+  expectFieldsBitwiseEqual(parallel, unchecked);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStrategies, ReduceStrategyTest,
@@ -141,6 +171,62 @@ TEST(ReduceStrategies, BufferedFallbackWithoutOptimizations) {
   auto got = parallel.region("S").f64("acc");
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_NEAR(want[i], got[i], 1e-12);
+  }
+}
+
+TEST(ReduceStrategies, OwnershipGuardsApplyDuplicatedCenteredWritesOnce) {
+  // A centered store and a centered reduce planned against an external pR
+  // that is asserted complete but not disjoint, then bound to overlapping
+  // blocks: the loop iterates pR, duplicated iterations and all, and each
+  // write must land once, in the piece that claims the index first. The
+  // loop reads only `val`, which it never writes, so the duplicated
+  // iterations race with nothing.
+  ir::Program prog;
+  prog.name = "centered";
+  ir::LoopBuilder b("centered", "i", "R");
+  b.loadF64("x", "R", "val", "i");
+  b.compute("y", {"x"}, [](auto v) { return v[0] * 2.0 + 1.0; });
+  b.store("R", "out", "i", "y");
+  b.reduce("R", "sum", "i", "x");
+  prog.loops.push_back(b.build());
+  auto makeWorld = [](World& w) {
+    buildWorld(w);
+    w.region("R").addField("out", FieldType::F64);
+    w.region("R").addField("sum", FieldType::F64);
+  };
+
+  World serial;
+  makeWorld(serial);
+  ir::runSerial(serial, prog);
+
+  std::vector<region::IndexSet> blocks;
+  for (Index j = 0; j < 4; ++j) {
+    blocks.push_back(region::IndexSet::interval(std::max<Index>(0, 12 * j - 4),
+                                                std::min<Index>(48, 12 * j + 16)));
+  }
+  const region::Partition overlapping("R", blocks);
+  ASSERT_FALSE(overlapping.isDisjoint());
+
+  for (const bool validate : {false, true}) {
+    World parallel;
+    makeWorld(parallel);
+    constraint::System ext;
+    ext.declareSymbol("pR", "R", /*fixed=*/true);
+    ext.addComp(dpl::symbol("pR"), "R");
+    parallelize::AutoParallelizer ap(parallel);
+    ap.addExternalConstraint(ext);
+    const parallelize::ParallelPlan plan = ap.plan(prog);
+    ASSERT_TRUE(plan.loops[0].reduces.empty()) << "the reduce is centered";
+    // verifyPartitions stays off: the verifier expects every iteration
+    // partition to be disjoint and would reject pR (NotDisjoint).
+    runtime::ExecOptions opts;
+    opts.validateAccesses = validate;
+    runtime::PlanExecutor exec(parallel, plan, 4, opts);
+    exec.bindExternal("pR", overlapping);
+    exec.run();
+    EXPECT_FALSE(exec.partition(plan.loops[0].iterPartition).isDisjoint())
+        << "the loop should iterate the aliased pR";
+    expectFieldsBitwiseEqual(serial, parallel);
   }
 }
 

@@ -105,6 +105,22 @@ TEST(World, RangeFnEvaluation) {
   EXPECT_THROW((void)w.evalPoint(f.id, 1), Error);
 }
 
+TEST(World, FieldFnArgumentOutsideItsDomainThrows) {
+  World w;
+  Region& r = w.addRegion("R", 4);
+  w.addRegion("S", 100);
+  r.addField("ptr", FieldType::Idx);
+  r.addField("span", FieldType::Range);
+  const FnDef& point = w.defineFieldFn("R", "ptr", "S");
+  const FnDef& range = w.defineRangeFn("R", "span", "S");
+  for (const Index bad : {Index{-1}, Index{4}}) {
+    EXPECT_THROW((void)w.evalPoint(point.id, bad), Error) << bad;
+    EXPECT_THROW((void)w.evalRange(range.id, bad), Error) << bad;
+  }
+  EXPECT_EQ(w.evalPoint(point.id, 3), 0);
+  EXPECT_EQ(w.evalRange(range.id, 0), (dpart::region::Run{0, 0}));
+}
+
 TEST(World, PointEvalOnRangeFnAndViceVersaThrow) {
   World w;
   w.addRegion("R", 5);
