@@ -14,8 +14,8 @@ constexpr int kFuel = 10;
 }  // namespace
 
 Entailment::Entailment(const System& hypotheses,
-                       std::set<std::string> rangeFns)
-    : hyp_(hypotheses), rangeFns_(std::move(rangeFns)) {}
+                       const std::set<std::string>& rangeFns)
+    : hyp_(hypotheses), rangeFns_(rangeFns) {}
 
 std::string Entailment::regionOf(const ExprPtr& e) const {
   switch (e->kind) {
@@ -266,15 +266,14 @@ std::string checkResolved(const System& system,
   Entailment ent(system, rangeFns);
   for (const Pred& p : system.preds()) {
     if (p.assumed) continue;
-    ent.excludeConjunct(p.toString());
+    ent.excludeConjunct(p);
     if (!ent.prove(p)) return p.toString();
   }
   for (const Subset& sc : system.subsets()) {
     if (sc.assumed) continue;
-    ent.excludeConjunct(sc.toString());
+    ent.excludeConjunct(sc);
     if (!ent.prove(sc)) return sc.toString();
   }
-  ent.excludeConjunct("");
   return "";
 }
 

@@ -21,8 +21,10 @@ namespace dpart::constraint {
 /// functions.
 class Entailment {
  public:
-  /// `rangeFns` lists the function ids that are range-valued.
-  Entailment(const System& hypotheses, std::set<std::string> rangeFns);
+  /// `rangeFns` lists the function ids that are range-valued. Both are
+  /// referenced, not copied, so they must outlive the engine.
+  Entailment(const System& hypotheses, const std::set<std::string>& rangeFns);
+  Entailment(const System&, std::set<std::string>&&) = delete;
 
   [[nodiscard]] bool provePart(const ExprPtr& e, const std::string& region);
   [[nodiscard]] bool proveDisj(const ExprPtr& e);
@@ -36,9 +38,11 @@ class Entailment {
   /// Region a ground expression partitions, where derivable ("" otherwise).
   [[nodiscard]] std::string regionOf(const ExprPtr& e) const;
 
-  /// Excludes one conjunct (by its printed form) from the hypothesis set —
-  /// Algorithm 2's leaf check proves each conjunct from the *others*.
-  void excludeConjunct(std::string printed) { excluded_ = std::move(printed); }
+  /// Excludes one conjunct of the hypothesis system, by identity, from the
+  /// hypothesis set — Algorithm 2's leaf check proves each conjunct from the
+  /// *others*.
+  void excludeConjunct(const Pred& p) { excluded_ = &p; }
+  void excludeConjunct(const Subset& s) { excluded_ = &s; }
 
  private:
   [[nodiscard]] bool pointFn(const std::string& fnId) const {
@@ -49,23 +53,29 @@ class Entailment {
   bool proveSubsetFuel(const ExprPtr& lhs, const ExprPtr& rhs, int fuel);
 
   // Assumed (user-asserted) conjuncts are always usable as hypotheses;
-  // only the proof obligation itself is excluded.
+  // only the proof obligation itself is excluded. Excluding it by identity
+  // excludes exactly the required conjuncts that print like it: the leaf
+  // check runs on System::substituted output, which leaves no two required
+  // DISJ, COMP or subset conjuncts with one printed form, and PART proofs
+  // consult no hypothesis.
   [[nodiscard]] bool usable(const Pred& p) const {
-    return p.assumed || excluded_.empty() || p.toString() != excluded_;
+    return p.assumed || &p != excluded_;
   }
   [[nodiscard]] bool usable(const Subset& s) const {
-    return s.assumed || excluded_.empty() || s.toString() != excluded_;
+    return s.assumed || &s != excluded_;
   }
 
   const System& hyp_;
-  std::set<std::string> rangeFns_;
-  std::string excluded_;
+  const std::set<std::string>& rangeFns_;
+  const void* excluded_ = nullptr;
 };
 
 /// Checks Algorithm 2's leaf condition: every non-assumed ground conjunct of
 /// `system` is entailed by the remaining conjuncts and the DPL lemmas.
 /// Returns the first unprovable conjunct's description, or "" when
-/// consistent.
+/// consistent. `system` must be System::substituted output: the conjunct
+/// under proof is excluded by identity, so a second required copy of it
+/// would count as a remaining conjunct and prove it.
 std::string checkResolved(const System& system,
                           const std::set<std::string>& rangeFns);
 

@@ -378,13 +378,12 @@ class ColocatePropagator final : public Propagator {
               const std::string& to) {
     auto it = ctx.partial->find(from);
     if (it == ctx.partial->end() || !isOpen(ctx, to)) return;
-    const std::string want = it->second->toString();
     for (std::size_t idx : ctx.dom->indicesOf(to)) {
       if (!ctx.dom->live(idx)) continue;
-      if (ctx.dom->entry(idx).expr->toString() != want) {
+      if (!dpl::exprEq(ctx.dom->entry(idx).expr, it->second)) {
         ctx.prune(idx, "colocate",
                   "partner=" + from + " fields=" + pair_.fieldA + "," +
-                      pair_.fieldB + " want=" + want);
+                      pair_.fieldB + " want=" + it->second->toString());
       }
     }
   }
@@ -450,10 +449,9 @@ class AntiAffinityPropagator final : public Propagator {
               const std::string& to) {
     auto it = ctx.partial->find(from);
     if (it == ctx.partial->end() || !isOpen(ctx, to)) return;
-    const std::string avoid = it->second->toString();
     for (std::size_t idx : ctx.dom->indicesOf(to)) {
       if (!ctx.dom->live(idx)) continue;
-      if (ctx.dom->entry(idx).expr->toString() != avoid) continue;
+      if (!dpl::exprEq(ctx.dom->entry(idx).expr, it->second)) continue;
       const PieceBounds b = boundsOf(*ctx.dom->entry(idx).expr, ctx.bounds);
       if (b.totalLo > 0) {
         ctx.prune(idx, "anti",

@@ -1,6 +1,8 @@
 #include "constraint/solver.hpp"
 
 #include <algorithm>
+#include <tuple>
+#include <unordered_set>
 
 #include "constraint/entail.hpp"
 #include "constraint/proof.hpp"
@@ -10,6 +12,30 @@ namespace dpart::constraint {
 
 using dpl::ExprKind;
 using dpl::ExprPtr;
+
+namespace {
+
+/// A candidate equality `symbol = expr` at one search node. Two are the
+/// same when the symbols match and the expressions are structurally equal;
+/// the search branches on each such equality once per node.
+struct Equality {
+  const std::string* symbol;
+  const dpl::Expr* expr;
+
+  bool operator==(const Equality& o) const {
+    return *symbol == *o.symbol && expr->equals(*o.expr);
+  }
+};
+
+struct EqualityHash {
+  std::size_t operator()(const Equality& e) const {
+    return std::hash<std::string>{}(*e.symbol) * 31 + e.expr->hash();
+  }
+};
+
+using EqualitySet = std::unordered_set<Equality, EqualityHash>;
+
+}  // namespace
 
 dpl::Program Solution::program() const {
   dpl::Program prog;
@@ -148,8 +174,8 @@ bool Solver::searchNode(const std::map<std::string, ExprPtr>& partial,
   // The paper's candidate generation seeds this node's domain store; the
   // candidates keep their Algorithm 2 order.
   DomainStore dom;
-  for (const Candidate& cand : candidates(c)) {
-    dom.add(cand.symbol, cand.expr);
+  for (Candidate& cand : candidates(c, open)) {
+    dom.add(std::move(cand.symbol), std::move(cand.expr));
   }
   if (proof != nullptr) {
     for (std::size_t i = 0; i < dom.size(); ++i) {
@@ -209,11 +235,11 @@ bool Solver::searchNode(const std::map<std::string, ExprPtr>& partial,
     return false;
   }
 
-  std::set<std::string> tried;  // avoid retrying identical equalities
+  EqualitySet tried;  // avoid retrying identical equalities
   for (std::size_t idx : dom.order(heuristic)) {
     if (!dom.live(idx)) continue;
     const DomainStore::Entry& entry = dom.entry(idx);
-    if (!tried.insert(entry.symbol + " = " + entry.expr->toString()).second) {
+    if (!tried.insert(Equality{&entry.symbol, entry.expr.get()}).second) {
       if (proof != nullptr) proof->dedup(id, idx);
       continue;
     }
@@ -244,44 +270,74 @@ bool Solver::searchNode(const std::map<std::string, ExprPtr>& partial,
 
 // ---- shared candidate generation ----------------------------------------
 
-std::vector<ExprPtr> Solver::externalCandidates(const System& c,
-                                                const std::string& region,
-                                                bool needDisj,
-                                                bool needComp) const {
-  // Closed expressions the user asserted predicates about (Section 3.3),
-  // plus bare fixed symbols of the right region. Filter by provability of
-  // the needed predicates.
-  std::vector<ExprPtr> raw;
-  std::set<std::string> seen;
-  const std::set<std::string> open = c.openSymbols();
-  auto consider = [&](const ExprPtr& e) {
-    if (!e->closedUnder(open)) return;
-    if (!seen.insert(e->toString()).second) return;
-    raw.push_back(e);
-  };
-  for (const Pred& p : c.preds()) {
-    if (!p.assumed) continue;
-    consider(p.expr);
-  }
-  for (const std::string& sym : c.symbols()) {
-    if (c.isFixed(sym) && c.regionOf(sym) == region) {
-      consider(dpl::symbol(sym));
+namespace {
+
+/// Rule 3's external candidates at one search node (Section 3.3): closed
+/// expressions the user asserted predicates about, plus bare fixed symbols
+/// of the region, kept when they provably partition the region with the
+/// needed predicates. Each (region, DISJ, COMP) triple is computed once.
+class ExternalCandidates {
+ public:
+  ExternalCandidates(const System& c, const std::set<std::string>& open,
+                     const std::set<std::string>& rangeFns)
+      : ent_(c, rangeFns) {
+    for (const Pred& p : c.preds()) {
+      if (p.assumed) consider(asserted_, p.expr, open);
+    }
+    for (const std::string& sym : c.symbols()) {
+      if (c.isFixed(sym)) {
+        fixed_.emplace_back(dpl::symbol(sym), c.regionOf(sym));
+      }
     }
   }
-  Entailment ent(c, rangeFns_);
-  std::vector<ExprPtr> out;
-  for (const ExprPtr& e : raw) {
-    if (!ent.provePart(e, region)) continue;
-    if (needDisj && !ent.proveDisj(e)) continue;
-    if (needComp && !ent.proveComp(e, region)) continue;
-    out.push_back(e);
-  }
-  return out;
-}
 
-std::vector<Solver::Candidate> Solver::candidates(const System& c) const {
+  const std::vector<ExprPtr>& of(const std::string& region, bool needDisj,
+                                 bool needComp) {
+    auto [it, fresh] = memo_.try_emplace({region, needDisj, needComp});
+    if (!fresh) return it->second;
+    std::vector<ExprPtr> raw = asserted_;
+    for (const auto& [sym, symRegion] : fixed_) {
+      if (symRegion == region) consider(raw, sym, {});
+    }
+    for (const ExprPtr& e : raw) {
+      if (!ent_.provePart(e, region)) continue;
+      if (needDisj && !ent_.proveDisj(e)) continue;
+      if (needComp && !ent_.proveComp(e, region)) continue;
+      it->second.push_back(e);
+    }
+    return it->second;
+  }
+
+ private:
+  /// Appends `e` when it is closed and structurally new.
+  static void consider(std::vector<ExprPtr>& raw, const ExprPtr& e,
+                       const std::set<std::string>& open) {
+    if (!e->closedUnder(open)) return;
+    if (std::any_of(raw.begin(), raw.end(), [&](const ExprPtr& seen) {
+          return dpl::exprEq(seen, e);
+        })) {
+      return;
+    }
+    raw.push_back(e);
+  }
+
+  Entailment ent_;
+  std::vector<ExprPtr> asserted_;
+  std::vector<std::pair<ExprPtr, std::string>> fixed_;
+  std::map<std::tuple<std::string, bool, bool>, std::vector<ExprPtr>> memo_;
+};
+
+}  // namespace
+
+std::vector<Solver::Candidate> Solver::candidates(
+    const System& c, const std::set<std::string>& open) const {
   std::vector<Candidate> cands;
-  const std::set<std::string> open = c.openSymbols();
+  std::map<std::string, ExprPtr> equal;  // one equal(R) per region
+  auto equalOf = [&equal](const std::string& region) {
+    auto [it, fresh] = equal.try_emplace(region);
+    if (fresh) it->second = dpl::equalOf(region);
+    return it->second;
+  };
 
   // Rule 1 (Algorithm 2 lines 11-15): image(P, f, R) <= E with closed E and
   // open P: candidate P = preimage(R', f, E). Point-valued fns only — L14
@@ -298,43 +354,71 @@ std::vector<Solver::Candidate> Solver::candidates(const System& c) const {
   }
 
   // Rule 2 (lines 16-18): P whose lower bounds are all closed: candidate
-  // P = union of the bounds (L13).
-  for (const std::string& p : open) {
-    std::vector<ExprPtr> bounds;
+  // P = union of the bounds (L13), in subset order. One pass over the
+  // subsets collects every open symbol's bounds; the map keeps the symbols
+  // in name order.
+  struct LowerBounds {
+    std::vector<ExprPtr> exprs;
     bool allClosed = true;
-    for (const Subset& sc : c.subsets()) {
-      if (sc.rhs->kind != ExprKind::Symbol || sc.rhs->name != p) continue;
-      if (!sc.lhs->closedUnder(open)) {
-        allClosed = false;
-        break;
-      }
-      bounds.push_back(sc.lhs);
+  };
+  std::map<std::string, LowerBounds> lower;
+  for (const Subset& sc : c.subsets()) {
+    if (sc.rhs->kind != ExprKind::Symbol || !open.contains(sc.rhs->name)) {
+      continue;
     }
-    if (!allClosed || bounds.empty()) continue;
-    cands.push_back(Candidate{p, dpl::unionOf(bounds)});
+    LowerBounds& b = lower[sc.rhs->name];
+    if (!b.allClosed) continue;
+    if (sc.lhs->closedUnder(open)) {
+      b.exprs.push_back(sc.lhs);
+    } else {
+      b.allClosed = false;
+    }
+  }
+  for (const auto& [p, b] : lower) {
+    if (!b.allClosed) continue;
+    cands.push_back(Candidate{p, dpl::unionOf(b.exprs)});
   }
 
   // Rule 3 (lines 19-27): DISJ symbols then COMP symbols, deepest first.
   // Externally provided partitions are preferred over fresh equal(R)
-  // (partition reuse, Section 3.3).
+  // (partition reuse, Section 3.3). The requirement sets, the depths and
+  // the external candidates of each (region, DISJ, COMP) triple are
+  // computed once per node.
+  std::set<std::string> disj;
+  std::set<std::string> comp;
+  for (const Pred& p : c.preds()) {
+    if (p.expr->kind != ExprKind::Symbol) continue;
+    if (p.kind == Pred::Kind::Disj) disj.insert(p.expr->name);
+    if (p.kind == Pred::Kind::Comp) comp.insert(p.expr->name);
+  }
+  std::vector<std::string> required;
+  for (const std::string& p : open) {
+    if (disj.contains(p) || comp.contains(p)) required.push_back(p);
+  }
+  // One required symbol needs no depth to be ordered.
+  const std::vector<int> depths = required.size() > 1
+                                      ? c.depths(required)
+                                      : std::vector<int>(required.size(), 0);
   std::vector<std::pair<int, std::string>> byDepth;
-  for (const std::string& p : open) byDepth.emplace_back(c.depth(p), p);
+  for (std::size_t i = 0; i < required.size(); ++i) {
+    byDepth.emplace_back(depths[i], required[i]);
+  }
   std::sort(byDepth.begin(), byDepth.end(),
             [](const auto& a, const auto& b) {
               return a.first != b.first ? a.first > b.first
                                         : a.second < b.second;
             });
+  ExternalCandidates externals(c, open, rangeFns_);
   auto addRule3 = [&](bool wantDisj) {
     for (const auto& [depth, p] : byDepth) {
-      const bool needDisj = c.requiresDisj(p);
-      const bool needComp = c.requiresComp(p);
+      const bool needDisj = disj.contains(p);
+      const bool needComp = comp.contains(p);
       if (wantDisj ? !needDisj : (!needComp || needDisj)) continue;
       const std::string& region = c.regionOf(p);
-      for (const ExprPtr& e : externalCandidates(c, region, needDisj,
-                                                 needComp)) {
+      for (const ExprPtr& e : externals.of(region, needDisj, needComp)) {
         cands.push_back(Candidate{p, e});
       }
-      cands.push_back(Candidate{p, dpl::equalOf(region)});
+      cands.push_back(Candidate{p, equalOf(region)});
     }
   };
   addRule3(/*wantDisj=*/true);
@@ -343,7 +427,7 @@ std::vector<Solver::Candidate> Solver::candidates(const System& c) const {
   // Fallback: any remaining symbol (no bounds, no predicates) gets equal(R);
   // keeps the solver total on degenerate inputs.
   for (const std::string& p : open) {
-    cands.push_back(Candidate{p, dpl::equalOf(c.regionOf(p))});
+    cands.push_back(Candidate{p, equalOf(c.regionOf(p))});
   }
   return cands;
 }
@@ -371,9 +455,9 @@ bool Solver::solveRec(const std::map<std::string, ExprPtr>& partial,
     return true;
   }
 
-  std::set<std::string> tried;  // avoid retrying identical equalities
-  for (const Candidate& cand : candidates(c)) {
-    if (!tried.insert(cand.symbol + " = " + cand.expr->toString()).second) {
+  EqualitySet tried;  // avoid retrying identical equalities
+  for (const Candidate& cand : candidates(c, open)) {
+    if (!tried.insert(Equality{&cand.symbol, cand.expr.get()}).second) {
       continue;
     }
     std::map<std::string, ExprPtr> next = partial;

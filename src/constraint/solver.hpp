@@ -116,10 +116,9 @@ class Solver {
                   SearchHeuristic heuristic);
   [[nodiscard]] Solution solvePropagation(
       const std::map<std::string, ExprPtr>& initial);
-  [[nodiscard]] std::vector<Candidate> candidates(const System& c) const;
-  [[nodiscard]] std::vector<ExprPtr> externalCandidates(
-      const System& c, const std::string& region, bool needDisj,
-      bool needComp) const;
+  /// The node's candidate table; `open` is c.openSymbols().
+  [[nodiscard]] std::vector<Candidate> candidates(
+      const System& c, const std::set<std::string>& open) const;
 
   System system_;
   std::set<std::string> rangeFns_;

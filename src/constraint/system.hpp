@@ -81,7 +81,10 @@ class System {
   void merge(const System& other, bool assumed = false);
 
   /// Applies a symbol substitution to every conjunct, drops tautological
-  /// subsets (E <= E), and deduplicates identical conjuncts.
+  /// subsets (E <= E), and deduplicates identical conjuncts: the first
+  /// occurrence keeps its position. Identity is structural and covers what
+  /// the printed form encodes: kind, expression(s), the region of a PART or
+  /// COMP (DISJ has none) and the assumed flag.
   [[nodiscard]] System substituted(
       const std::map<std::string, ExprPtr>& subst) const;
 
@@ -89,9 +92,12 @@ class System {
   /// symbol of the same region.
   void renameSymbol(const std::string& from, const std::string& to);
 
-  /// depth(P) = k for the longest chain E1 <= ... <= Ek <= P through subset
-  /// constraints whose RHS are symbols (Algorithm 2's resolution order).
-  [[nodiscard]] int depth(const std::string& symbol) const;
+  /// depth(P) of each of `targets`, in order: depth(P) = k for the longest
+  /// chain E1 <= ... <= Ek <= P through subset constraints whose RHS are
+  /// symbols (Algorithm 2's resolution order), capped at one more than the
+  /// symbol count where a cycle makes chains unbounded.
+  [[nodiscard]] std::vector<int> depths(
+      const std::vector<std::string>& targets) const;
 
   [[nodiscard]] std::string toString() const;
 

@@ -11,6 +11,14 @@ namespace {
 
 ExprPtr make(Expr e) { return std::make_shared<const Expr>(std::move(e)); }
 
+std::size_t mix(std::size_t h, std::size_t v) {
+  return h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
+}
+
+std::size_t hashOf(const std::string& s) {
+  return std::hash<std::string>{}(s);
+}
+
 }  // namespace
 
 bool Expr::equals(const Expr& other) const {
@@ -28,6 +36,24 @@ bool Expr::equals(const Expr& other) const {
              arg->equals(*other.arg);
     case ExprKind::Equal:
       return region == other.region;
+  }
+  DPART_UNREACHABLE("bad ExprKind");
+}
+
+std::size_t Expr::hash() const {
+  const auto h = static_cast<std::size_t>(kind);
+  switch (kind) {
+    case ExprKind::Symbol:
+      return mix(h, hashOf(name));
+    case ExprKind::Union:
+    case ExprKind::Intersect:
+    case ExprKind::Subtract:
+      return mix(mix(h, lhs->hash()), rhs->hash());
+    case ExprKind::Image:
+    case ExprKind::Preimage:
+      return mix(mix(mix(h, hashOf(fn)), hashOf(region)), arg->hash());
+    case ExprKind::Equal:
+      return mix(h, hashOf(region));
   }
   DPART_UNREACHABLE("bad ExprKind");
 }
@@ -53,11 +79,20 @@ void Expr::collectSymbols(std::set<std::string>& out) const {
 }
 
 bool Expr::closedUnder(const std::set<std::string>& openSymbols) const {
-  std::set<std::string> syms;
-  collectSymbols(syms);
-  return std::none_of(syms.begin(), syms.end(), [&](const std::string& s) {
-    return openSymbols.contains(s);
-  });
+  switch (kind) {
+    case ExprKind::Symbol:
+      return !openSymbols.contains(name);
+    case ExprKind::Union:
+    case ExprKind::Intersect:
+    case ExprKind::Subtract:
+      return lhs->closedUnder(openSymbols) && rhs->closedUnder(openSymbols);
+    case ExprKind::Image:
+    case ExprKind::Preimage:
+      return arg->closedUnder(openSymbols);
+    case ExprKind::Equal:
+      return true;
+  }
+  DPART_UNREACHABLE("bad ExprKind");
 }
 
 std::string Expr::toString() const {
@@ -178,6 +213,7 @@ bool exprEq(const ExprPtr& a, const ExprPtr& b) {
 
 ExprPtr substitute(const ExprPtr& e,
                    const std::map<std::string, ExprPtr>& subst) {
+  if (subst.empty()) return e;
   switch (e->kind) {
     case ExprKind::Symbol: {
       auto it = subst.find(e->name);

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <map>
 #include <memory>
@@ -44,10 +45,14 @@ class Expr {
   /// Structural equality.
   [[nodiscard]] bool equals(const Expr& other) const;
 
+  /// Structural hash: equal expressions (equals()) hash equally.
+  [[nodiscard]] std::size_t hash() const;
+
   /// All partition symbols occurring in this expression.
   void collectSymbols(std::set<std::string>& out) const;
 
-  /// True when the expression mentions none of the given symbols.
+  /// True when the expression mentions none of the given symbols (a tree
+  /// walk; allocates nothing).
   [[nodiscard]] bool closedUnder(const std::set<std::string>& openSymbols) const;
 
   [[nodiscard]] std::string toString() const;

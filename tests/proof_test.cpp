@@ -2,16 +2,23 @@
 // certificates (consumed by tools/proof_check), the compile stats surface
 // their size, and proof-emitting compiles bypass the solve cache.
 
+#include <cstdint>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "apps/circuit.hpp"
+#include "apps/miniaero.hpp"
+#include "apps/pennant.hpp"
 #include "apps/spmv.hpp"
+#include "apps/stencil.hpp"
 #include "parallelize/solve_cache.hpp"
 #include "runtime/session.hpp"
+#include "support/hash.hpp"
 
 namespace dpart {
 namespace {
@@ -131,6 +138,45 @@ TEST(ProofEmission, ProofCompilesBypassTheSolveCache) {
   EXPECT_FALSE(proved.stats.cacheHit);
   EXPECT_GT(proved.stats.proofEvents, 0u);
   EXPECT_EQ(proved.dpl.toString(), first.dpl.toString());
+}
+
+// FNV-1a-64 of the certificate a 4-piece compile of `program` writes.
+std::uint64_t certificateHash(const region::World& world,
+                              const ir::Program& program,
+                              const std::string& name) {
+  parallelize::Options opts;
+  opts.pieces = 4;
+  opts.proofFile = ::testing::TempDir() + "trail_" + name + ".dprf";
+  (void)parallelize::AutoParallelizer(world, opts).plan(program);
+  std::ifstream in(opts.proofFile, std::ios::binary);
+  EXPECT_TRUE(in.good()) << opts.proofFile;
+  const std::string bytes{std::istreambuf_iterator<char>(in),
+                          std::istreambuf_iterator<char>()};
+  return fnv1a64(bytes);
+}
+
+// A certificate logs every node, candidate, dedup, branch and leaf of the
+// decisive solve, so pinning its bytes pins the search trail itself, not
+// only the plan it ends in (the golden plan hashes pin that). The apps run
+// at the SolveCacheFig14 sizes.
+TEST(ProofEmission, SearchTrailsOfTheFiveAppsArePinned) {
+  apps::SpmvApp spmv({.rowsPerPiece = 64, .nnzPerRow = 3, .pieces = 4});
+  EXPECT_EQ(certificateHash(spmv.world(), spmv.program(), "spmv"),
+            0xae021533763d8ee3ULL);
+  apps::StencilApp stencil({.rowsPerPiece = 8, .cols = 8, .pieces = 4});
+  EXPECT_EQ(certificateHash(stencil.world(), stencil.program(), "stencil"),
+            0x8bc55cd9e8e23260ULL);
+  apps::MiniAeroApp miniaero({.nx = 4, .ny = 4, .nzPerPiece = 4,
+                              .pieces = 4});
+  EXPECT_EQ(certificateHash(miniaero.world(), miniaero.program(), "miniaero"),
+            0xb0b2b116d92d8d7aULL);
+  apps::CircuitApp circuit({.pieces = 4, .nodesPerCluster = 32,
+                            .wiresPerCluster = 64});
+  EXPECT_EQ(certificateHash(circuit.world(), circuit.program(), "circuit"),
+            0x81c7e232fea3cc50ULL);
+  apps::PennantApp pennant({.zx = 4, .zyPerPiece = 4, .pieces = 4});
+  EXPECT_EQ(certificateHash(pennant.world(), pennant.program(), "pennant"),
+            0x6b5cc82e07284fb8ULL);
 }
 
 }  // namespace

@@ -18,10 +18,14 @@ using dpl::unionOf;
 class EntailTest : public ::testing::Test {
  protected:
   System sys;
+  // Entailment references its range-fn set, so the sets outlive it.
+  const std::set<std::string> pointFnsOnly;
+  const std::set<std::string> rangeF{"F"};
+  const std::set<std::string> rangef{"f"};
 };
 
 TEST_F(EntailTest, L1EqualIsPartDisjComp) {
-  Entailment ent(sys, {});
+  Entailment ent(sys, pointFnsOnly);
   EXPECT_TRUE(ent.provePart(equalOf("R"), "R"));
   EXPECT_TRUE(ent.proveDisj(equalOf("R")));
   EXPECT_TRUE(ent.proveComp(equalOf("R"), "R"));
@@ -29,14 +33,14 @@ TEST_F(EntailTest, L1EqualIsPartDisjComp) {
 }
 
 TEST_F(EntailTest, L2L3ImagePreimageArePartitions) {
-  Entailment ent(sys, {});
+  Entailment ent(sys, pointFnsOnly);
   EXPECT_TRUE(ent.provePart(image(equalOf("R"), "f", "S"), "S"));
   EXPECT_FALSE(ent.provePart(image(equalOf("R"), "f", "S"), "R"));
   EXPECT_TRUE(ent.provePart(preimage("R", "f", equalOf("S")), "R"));
 }
 
 TEST_F(EntailTest, L4SetOpsPreservePart) {
-  Entailment ent(sys, {});
+  Entailment ent(sys, pointFnsOnly);
   auto a = equalOf("R");
   auto b = image(equalOf("R"), "f", "R");
   EXPECT_TRUE(ent.provePart(unionOf(a, b), "R"));
@@ -45,19 +49,19 @@ TEST_F(EntailTest, L4SetOpsPreservePart) {
 }
 
 TEST_F(EntailTest, L7PreimagePreservesCompleteness) {
-  Entailment ent(sys, {});
+  Entailment ent(sys, pointFnsOnly);
   EXPECT_TRUE(ent.proveComp(preimage("R", "f", equalOf("S")), "R"));
   // ...but images do not.
   EXPECT_FALSE(ent.proveComp(image(equalOf("S"), "f", "R"), "R"));
 }
 
 TEST_F(EntailTest, L7ExcludedForRangeValuedFns) {
-  Entailment ent(sys, {"F"});
+  Entailment ent(sys, rangeF);
   EXPECT_FALSE(ent.proveComp(preimage("R", "F", equalOf("S")), "R"));
 }
 
 TEST_F(EntailTest, L9L10L12DisjointnessPropagation) {
-  Entailment ent(sys, {});
+  Entailment ent(sys, pointFnsOnly);
   auto img = image(equalOf("R"), "f", "S");  // not provably disjoint
   EXPECT_FALSE(ent.proveDisj(img));
   EXPECT_TRUE(ent.proveDisj(dpl::intersectOf(img, equalOf("S"))));
@@ -68,13 +72,13 @@ TEST_F(EntailTest, L9L10L12DisjointnessPropagation) {
 }
 
 TEST_F(EntailTest, L12ExcludedForRangeValuedFns) {
-  Entailment ent(sys, {"F"});
+  Entailment ent(sys, rangeF);
   EXPECT_FALSE(ent.proveDisj(preimage("R", "F", equalOf("S"))));
   EXPECT_TRUE(ent.proveDisj(preimage("R", "f", equalOf("S"))));
 }
 
 TEST_F(EntailTest, L6UnionCompleteness) {
-  Entailment ent(sys, {});
+  Entailment ent(sys, pointFnsOnly);
   auto img = image(equalOf("S"), "f", "R");
   EXPECT_TRUE(ent.proveComp(unionOf(equalOf("R"), img), "R"));
   EXPECT_TRUE(ent.proveComp(unionOf(img, equalOf("R")), "R"));
@@ -82,7 +86,7 @@ TEST_F(EntailTest, L6UnionCompleteness) {
 }
 
 TEST_F(EntailTest, ImageOfPreimageSubset) {
-  Entailment ent(sys, {});
+  Entailment ent(sys, pointFnsOnly);
   // image(preimage(R, f, equal(S)), f, S) <= equal(S).
   auto pre = preimage("R", "f", equalOf("S"));
   EXPECT_TRUE(ent.proveSubset(image(pre, "f", "S"), equalOf("S")));
@@ -91,7 +95,7 @@ TEST_F(EntailTest, ImageOfPreimageSubset) {
 }
 
 TEST_F(EntailTest, SubsetStructuralRules) {
-  Entailment ent(sys, {});
+  Entailment ent(sys, pointFnsOnly);
   auto a = equalOf("R");
   auto b = image(equalOf("R"), "f", "R");
   EXPECT_TRUE(ent.proveSubset(dpl::intersectOf(a, b), a));
@@ -107,7 +111,7 @@ TEST_F(EntailTest, HypothesisSubsetAndTransitivity) {
   sys.declareSymbol("C", "R");
   sys.addSubset(symbol("A"), symbol("B"));
   sys.addSubset(symbol("B"), symbol("C"));
-  Entailment ent(sys, {});
+  Entailment ent(sys, pointFnsOnly);
   EXPECT_TRUE(ent.proveSubset(symbol("A"), symbol("B")));
   EXPECT_TRUE(ent.proveSubset(symbol("A"), symbol("C")));
   EXPECT_FALSE(ent.proveSubset(symbol("C"), symbol("A")));
@@ -118,7 +122,7 @@ TEST_F(EntailTest, L8DisjointnessFlowsRightToLeft) {
   sys.declareSymbol("B", "R");
   sys.addSubset(symbol("A"), symbol("B"));
   sys.addDisj(symbol("B"));
-  Entailment ent(sys, {});
+  Entailment ent(sys, pointFnsOnly);
   EXPECT_TRUE(ent.proveDisj(symbol("A")));
   EXPECT_FALSE(ent.proveDisj(symbol("B")) &&
                ent.proveDisj(symbol("C")));  // C unknown
@@ -129,7 +133,7 @@ TEST_F(EntailTest, L5CompletenessFlowsUpward) {
   sys.declareSymbol("B", "R");
   sys.addSubset(symbol("A"), symbol("B"));
   sys.addComp(symbol("A"), "R");
-  Entailment ent(sys, {});
+  Entailment ent(sys, pointFnsOnly);
   EXPECT_TRUE(ent.proveComp(symbol("B"), "R"));
 }
 
@@ -137,12 +141,23 @@ TEST_F(EntailTest, L14ViaHypothesis) {
   sys.declareSymbol("E1", "R2");
   sys.declareSymbol("E2", "R1");
   sys.addSubset(symbol("E1"), preimage("R2", "f", symbol("E2")));
-  Entailment ent(sys, {});
+  Entailment ent(sys, pointFnsOnly);
   EXPECT_TRUE(ent.proveSubset(image(symbol("E1"), "f", "R1"), symbol("E2")));
   // L14 does not hold for range-valued functions.
-  Entailment entRange(sys, {"f"});
+  Entailment entRange(sys, rangef);
   EXPECT_FALSE(
       entRange.proveSubset(image(symbol("E1"), "f", "R1"), symbol("E2")));
+}
+
+TEST_F(EntailTest, LeafCheckProvesEachConjunctFromTheOthers) {
+  // The only support for the required COMP is the conjunct itself, which
+  // the leaf check must not use as its own hypothesis.
+  sys.declareSymbol("pX", "R", /*fixed=*/true);
+  sys.addComp(symbol("pX"), "R");
+  EXPECT_EQ(checkResolved(sys, {}), "COMP(pX, R)");
+  // An assumed copy of the same conjunct is a hypothesis, so it proves it.
+  sys.addComp(symbol("pX"), "R", /*assumed=*/true);
+  EXPECT_EQ(checkResolved(sys, {}), "");
 }
 
 // ---- Solver (Algorithm 2) ----
