@@ -17,11 +17,11 @@ namespace dpart::constraint {
 /// revalidate one solve without trusting the solver: the ground model
 /// (region sizes and full fn tables), the constraint system, the external
 /// vocabulary, and then the complete search trail — every candidate
-/// considered at every node, every propagator prune with its justification,
-/// every branch and backtrack — ending in either a solution (plus the final
-/// DPL program and the runtime verifier's expectations, so the checker can
-/// cross-validate against region/verify semantics) or an infeasibility
-/// trace. tools/proof_check replays it; docs/solver.md documents the line
+/// considered at every node, every vocabulary-rule prune with its
+/// justification, every branch and backtrack — ending in either a solution
+/// (plus the final DPL program and the runtime verifier's expectations, so
+/// the checker can cross-validate against region/verify semantics) or an
+/// infeasibility trace. tools/proof_check replays it; docs/solver.md documents the line
 /// grammar with a worked example.
 ///
 /// The format is line-oriented: one event per line, space-separated tokens,
@@ -56,11 +56,12 @@ class ProofLog {
   void candidate(std::size_t node, std::size_t idx, const std::string& symbol,
                  const dpl::ExprPtr& expr);
   void dedup(std::size_t node, std::size_t idx);
-  /// Propagator pruned one candidate; `rule` + `detail` justify it.
+  /// A vocabulary rule pruned one candidate; `rule` + `detail` justify it.
   void prune(std::size_t node, std::size_t idx, const std::string& rule,
              const std::string& detail);
-  /// Propagator refuted a symbol outright (no expression can ever satisfy
-  /// the constraint); the node — and with it the whole search — fails.
+  /// A vocabulary rule refuted a symbol outright (no expression can ever
+  /// satisfy the constraint); the node — and with it the whole search —
+  /// fails.
   void refute(std::size_t node, const std::string& symbol,
               const std::string& rule, const std::string& detail);
   void branch(std::size_t node, std::size_t idx);

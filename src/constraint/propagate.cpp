@@ -168,13 +168,6 @@ const std::vector<std::size_t>& DomainStore::indicesOf(
   return it == bySymbol_.end() ? kEmpty : it->second;
 }
 
-std::vector<std::string> DomainStore::symbols() const {
-  std::vector<std::string> out;
-  out.reserve(bySymbol_.size());
-  for (const auto& [sym, idxs] : bySymbol_) out.push_back(sym);
-  return out;
-}
-
 std::vector<std::size_t> DomainStore::order(SearchHeuristic h) const {
   std::vector<std::size_t> out;
   out.reserve(entries_.size());
@@ -199,7 +192,6 @@ void PropagationContext::prune(std::size_t idx, const std::string& rule,
                                const std::string& detail) {
   if (!dom->live(idx)) return;
   dom->kill(idx);
-  changed.insert(dom->entry(idx).symbol);
   if (stats != nullptr) ++stats->prunes;
   if (proof != nullptr) proof->prune(nodeId, idx, rule, detail);
   if (!conflict.valid() && dom->liveCount(dom->entry(idx).symbol) == 0) {
@@ -221,7 +213,7 @@ void PropagationContext::refute(const std::string& symbol,
   if (proof != nullptr) proof->refute(nodeId, symbol, rule, detail);
 }
 
-// ---- propagators ---------------------------------------------------------
+// ---- vocabulary rules ----------------------------------------------------
 
 namespace {
 
@@ -230,7 +222,7 @@ bool isOpen(const PropagationContext& ctx, const std::string& symbol) {
          !ctx.partial->contains(symbol);
 }
 
-/// Known size of a region, or kUnbounded (propagators then stay silent —
+/// Known size of a region, or kUnbounded (the rules then stay silent —
 /// never prune on a size they cannot justify).
 std::size_t knownSize(const PropagationContext& ctx,
                       const std::string& region) {
@@ -238,252 +230,170 @@ std::size_t knownSize(const PropagationContext& ctx,
   return it == ctx.bounds.regionSizes->end() ? kMax : it->second;
 }
 
-/// Per-node capacity bound on one symbol's candidates, with a pigeonhole
-/// refutation when the symbol must be complete: any complete partition of R
-/// into n pieces has a piece of at least ceil(|R|/n) elements.
-class CapacityPropagator final : public Propagator {
- public:
-  CapacityPropagator(std::string symbol, std::size_t cap)
-      : symbol_(std::move(symbol)), cap_(cap), watches_{symbol_} {}
-
-  [[nodiscard]] std::string id() const override {
-    return "capacity(" + symbol_ + ")";
-  }
-  [[nodiscard]] const std::set<std::string>& watches() const override {
-    return watches_;
-  }
-  [[nodiscard]] bool rerunEveryNode() const override { return true; }
-
-  void propagate(PropagationContext& ctx) override {
-    if (!isOpen(ctx, symbol_)) return;
-    const std::string& region = ctx.system->regionOf(symbol_);
-    const std::size_t s = knownSize(ctx, region);
-    if (s != kMax && ctx.bounds.pieces > 0 &&
-        ctx.system->requiresComp(symbol_)) {
-      const std::size_t need = (s + ctx.bounds.pieces - 1) / ctx.bounds.pieces;
-      if (need > cap_) {
-        ctx.refute(symbol_, "capacity-comp",
-                   "region=" + region + " size=" + std::to_string(s) +
-                       " pieces=" + std::to_string(ctx.bounds.pieces) +
-                       " cap=" + std::to_string(cap_) +
-                       " minMaxPiece=" + std::to_string(need));
-        return;
-      }
-    }
-    for (std::size_t idx : ctx.dom->indicesOf(symbol_)) {
-      if (!ctx.dom->live(idx)) continue;
-      const PieceBounds b = boundsOf(*ctx.dom->entry(idx).expr, ctx.bounds);
-      if (b.maxPieceLo > cap_) {
-        ctx.prune(idx, "capacity",
-                  "region=" + region + " cap=" + std::to_string(cap_) +
-                      " maxPieceLo=" + std::to_string(b.maxPieceLo));
-      }
-    }
-  }
-
- private:
-  std::string symbol_;
-  std::size_t cap_;
-  std::set<std::string> watches_;
-};
-
-/// Replication-factor window on one symbol's total materialized elements,
-/// with COMP/DISJ refutations (a complete partition totals at least |R|, a
-/// disjoint one at most |R|).
-class ReplicationPropagator final : public Propagator {
- public:
-  ReplicationPropagator(std::string symbol, double minFactor, double maxFactor)
-      : symbol_(std::move(symbol)),
-        min_(minFactor),
-        max_(maxFactor),
-        watches_{symbol_} {}
-
-  [[nodiscard]] std::string id() const override {
-    return "replicate(" + symbol_ + ")";
-  }
-  [[nodiscard]] const std::set<std::string>& watches() const override {
-    return watches_;
-  }
-  [[nodiscard]] bool rerunEveryNode() const override { return true; }
-
-  void propagate(PropagationContext& ctx) override {
-    if (!isOpen(ctx, symbol_)) return;
-    const std::string& region = ctx.system->regionOf(symbol_);
-    const std::size_t s = knownSize(ctx, region);
-    if (s == kMax) return;
-    const auto sd = static_cast<double>(s);
-    if (s > 0 && max_ > 0 && max_ < 1.0 &&
-        ctx.system->requiresComp(symbol_)) {
-      ctx.refute(symbol_, "replicate-comp",
+/// Capacity bound on one symbol's candidates, with a pigeonhole refutation
+/// when the symbol must be complete: any complete partition of R into n
+/// pieces has a piece of at least ceil(|R|/n) elements.
+void capacity(PropagationContext& ctx, const std::string& symbol,
+              std::size_t cap) {
+  if (!isOpen(ctx, symbol)) return;
+  const std::string& region = ctx.system->regionOf(symbol);
+  const std::size_t s = knownSize(ctx, region);
+  if (s != kMax && ctx.bounds.pieces > 0 && ctx.system->requiresComp(symbol)) {
+    const std::size_t need = (s + ctx.bounds.pieces - 1) / ctx.bounds.pieces;
+    if (need > cap) {
+      ctx.refute(symbol, "capacity-comp",
                  "region=" + region + " size=" + std::to_string(s) +
-                     " maxFactor=" + std::to_string(max_));
+                     " pieces=" + std::to_string(ctx.bounds.pieces) +
+                     " cap=" + std::to_string(cap) +
+                     " minMaxPiece=" + std::to_string(need));
       return;
     }
-    if (s > 0 && min_ > 1.0 && ctx.system->requiresDisj(symbol_)) {
-      ctx.refute(symbol_, "replicate-disj",
-                 "region=" + region + " size=" + std::to_string(s) +
-                     " minFactor=" + std::to_string(min_));
-      return;
-    }
-    for (std::size_t idx : ctx.dom->indicesOf(symbol_)) {
-      if (!ctx.dom->live(idx)) continue;
-      const PieceBounds b = boundsOf(*ctx.dom->entry(idx).expr, ctx.bounds);
-      if (max_ > 0 && static_cast<double>(b.totalLo) > max_ * sd) {
-        ctx.prune(idx, "replicate-max",
-                  "region=" + region + " maxFactor=" + std::to_string(max_) +
-                      " totalLo=" + std::to_string(b.totalLo));
-      } else if (min_ > 0 && b.totalHi != PieceBounds::kUnbounded &&
-                 static_cast<double>(b.totalHi) < min_ * sd) {
-        ctx.prune(idx, "replicate-min",
-                  "region=" + region + " minFactor=" + std::to_string(min_) +
-                      " totalHi=" + std::to_string(b.totalHi));
-      }
+  }
+  for (std::size_t idx : ctx.dom->indicesOf(symbol)) {
+    if (!ctx.dom->live(idx)) continue;
+    const PieceBounds b = boundsOf(*ctx.dom->entry(idx).expr, ctx.bounds);
+    if (b.maxPieceLo > cap) {
+      ctx.prune(idx, "capacity",
+                "region=" + region + " cap=" + std::to_string(cap) +
+                    " maxPieceLo=" + std::to_string(b.maxPieceLo));
     }
   }
+}
 
- private:
-  std::string symbol_;
-  double min_;
-  double max_;
-  std::set<std::string> watches_;
-};
+/// Replication-factor window [minFactor, maxFactor] on one symbol's total
+/// materialized elements, with COMP/DISJ refutations (a complete partition
+/// totals at least |R|, a disjoint one at most |R|).
+void replication(PropagationContext& ctx, const std::string& symbol,
+                 double minFactor, double maxFactor) {
+  if (!isOpen(ctx, symbol)) return;
+  const std::string& region = ctx.system->regionOf(symbol);
+  const std::size_t s = knownSize(ctx, region);
+  if (s == kMax) return;
+  const auto sd = static_cast<double>(s);
+  if (s > 0 && maxFactor > 0 && maxFactor < 1.0 &&
+      ctx.system->requiresComp(symbol)) {
+    ctx.refute(symbol, "replicate-comp",
+               "region=" + region + " size=" + std::to_string(s) +
+                   " maxFactor=" + std::to_string(maxFactor));
+    return;
+  }
+  if (s > 0 && minFactor > 1.0 && ctx.system->requiresDisj(symbol)) {
+    ctx.refute(symbol, "replicate-disj",
+               "region=" + region + " size=" + std::to_string(s) +
+                   " minFactor=" + std::to_string(minFactor));
+    return;
+  }
+  for (std::size_t idx : ctx.dom->indicesOf(symbol)) {
+    if (!ctx.dom->live(idx)) continue;
+    const PieceBounds b = boundsOf(*ctx.dom->entry(idx).expr, ctx.bounds);
+    if (maxFactor > 0 && static_cast<double>(b.totalLo) > maxFactor * sd) {
+      ctx.prune(idx, "replicate-max",
+                "region=" + region + " maxFactor=" +
+                    std::to_string(maxFactor) +
+                    " totalLo=" + std::to_string(b.totalLo));
+    } else if (minFactor > 0 && b.totalHi != PieceBounds::kUnbounded &&
+               static_cast<double>(b.totalHi) < minFactor * sd) {
+      ctx.prune(idx, "replicate-min",
+                "region=" + region + " minFactor=" +
+                    std::to_string(minFactor) +
+                    " totalHi=" + std::to_string(b.totalHi));
+    }
+  }
+}
 
-/// Co-location: once one side of the pair is assigned, the other side's
-/// candidates must be the identical expression (same partition => same
+/// Co-location, one direction: once `from` is assigned, the candidates of
+/// `to` must be the identical expression (same partition => same
 /// placement). Enforced up to expression identity.
-class ColocatePropagator final : public Propagator {
- public:
-  explicit ColocatePropagator(SolverVocabulary::SymbolPair pair)
-      : pair_(std::move(pair)), watches_{pair_.symA, pair_.symB} {}
-
-  [[nodiscard]] std::string id() const override {
-    return "colocate(" + pair_.symA + "," + pair_.symB + ")";
-  }
-  [[nodiscard]] const std::set<std::string>& watches() const override {
-    return watches_;
-  }
-  // The prune consumes the node-local candidate list, which searchNode
-  // rebuilds from scratch at every node: the partner may have been assigned
-  // on an ancestor branch, so waiting for a watched-symbol change this node
-  // would drop the constraint after any unrelated branch.
-  [[nodiscard]] bool rerunEveryNode() const override { return true; }
-
-  void propagate(PropagationContext& ctx) override {
-    direct(ctx, pair_.symA, pair_.symB);
-    direct(ctx, pair_.symB, pair_.symA);
-  }
-
- private:
-  void direct(PropagationContext& ctx, const std::string& from,
-              const std::string& to) {
-    auto it = ctx.partial->find(from);
-    if (it == ctx.partial->end() || !isOpen(ctx, to)) return;
-    for (std::size_t idx : ctx.dom->indicesOf(to)) {
-      if (!ctx.dom->live(idx)) continue;
-      if (!dpl::exprEq(ctx.dom->entry(idx).expr, it->second)) {
-        ctx.prune(idx, "colocate",
-                  "partner=" + from + " fields=" + pair_.fieldA + "," +
-                      pair_.fieldB + " want=" + it->second->toString());
-      }
+void colocate(PropagationContext& ctx, const SolverVocabulary::SymbolPair& p,
+              const std::string& from, const std::string& to) {
+  auto it = ctx.partial->find(from);
+  if (it == ctx.partial->end() || !isOpen(ctx, to)) return;
+  for (std::size_t idx : ctx.dom->indicesOf(to)) {
+    if (!ctx.dom->live(idx)) continue;
+    if (!dpl::exprEq(ctx.dom->entry(idx).expr, it->second)) {
+      ctx.prune(idx, "colocate",
+                "partner=" + from + " fields=" + p.fieldA + "," + p.fieldB +
+                    " want=" + it->second->toString());
     }
   }
+}
 
-  SolverVocabulary::SymbolPair pair_;
-  std::set<std::string> watches_;
-};
-
-/// Anti-affinity: the two partitions must be piecewise disjoint. When
-/// unification collapsed both fields onto one symbol this is refutable
-/// outright (a complete partition of a non-empty region cannot be disjoint
-/// from itself); otherwise identical candidate expressions with a provably
-/// non-empty piece total are pruned.
-class AntiAffinityPropagator final : public Propagator {
- public:
-  explicit AntiAffinityPropagator(SolverVocabulary::SymbolPair pair)
-      : pair_(std::move(pair)), watches_{pair_.symA, pair_.symB} {}
-
-  [[nodiscard]] std::string id() const override {
-    return "anti(" + pair_.symA + "," + pair_.symB + ")";
+/// Anti-affinity of a pair unification collapsed onto one symbol:
+/// refutable outright when the symbol must be complete (a complete
+/// partition of a non-empty region cannot be disjoint from itself);
+/// otherwise candidates with a provably non-empty piece total are pruned.
+void antiSelf(PropagationContext& ctx, const SolverVocabulary::SymbolPair& p) {
+  const std::string& sym = p.symA;
+  if (!isOpen(ctx, sym)) return;
+  const std::string& region = ctx.system->regionOf(sym);
+  const std::size_t s = knownSize(ctx, region);
+  if (s == kMax) return;
+  if (s > 0 && ctx.system->requiresComp(sym)) {
+    ctx.refute(sym, "anti-self",
+               "fields=" + p.fieldA + "," + p.fieldB + " region=" + region +
+                   " size=" + std::to_string(s));
+    return;
   }
-  [[nodiscard]] const std::set<std::string>& watches() const override {
-    return watches_;
-  }
-  // Candidate lists are node-local (see ColocatePropagator): rerun always,
-  // both for the self-pair refutation and the ancestor-assignment prunes.
-  [[nodiscard]] bool rerunEveryNode() const override { return true; }
-
-  void propagate(PropagationContext& ctx) override {
-    if (pair_.symA == pair_.symB) {
-      self(ctx);
-      return;
-    }
-    direct(ctx, pair_.symA, pair_.symB);
-    direct(ctx, pair_.symB, pair_.symA);
-  }
-
- private:
-  void self(PropagationContext& ctx) {
-    const std::string& sym = pair_.symA;
-    if (!isOpen(ctx, sym)) return;
-    const std::string& region = ctx.system->regionOf(sym);
-    const std::size_t s = knownSize(ctx, region);
-    if (s == kMax) return;
-    if (s > 0 && ctx.system->requiresComp(sym)) {
-      ctx.refute(sym, "anti-self",
-                 "fields=" + pair_.fieldA + "," + pair_.fieldB + " region=" +
-                     region + " size=" + std::to_string(s));
-      return;
-    }
-    for (std::size_t idx : ctx.dom->indicesOf(sym)) {
-      if (!ctx.dom->live(idx)) continue;
-      const PieceBounds b = boundsOf(*ctx.dom->entry(idx).expr, ctx.bounds);
-      if (b.totalLo > 0) {
-        ctx.prune(idx, "anti-self",
-                  "fields=" + pair_.fieldA + "," + pair_.fieldB +
-                      " totalLo=" + std::to_string(b.totalLo));
-      }
+  for (std::size_t idx : ctx.dom->indicesOf(sym)) {
+    if (!ctx.dom->live(idx)) continue;
+    const PieceBounds b = boundsOf(*ctx.dom->entry(idx).expr, ctx.bounds);
+    if (b.totalLo > 0) {
+      ctx.prune(idx, "anti-self",
+                "fields=" + p.fieldA + "," + p.fieldB +
+                    " totalLo=" + std::to_string(b.totalLo));
     }
   }
+}
 
-  void direct(PropagationContext& ctx, const std::string& from,
-              const std::string& to) {
-    auto it = ctx.partial->find(from);
-    if (it == ctx.partial->end() || !isOpen(ctx, to)) return;
-    for (std::size_t idx : ctx.dom->indicesOf(to)) {
-      if (!ctx.dom->live(idx)) continue;
-      if (!dpl::exprEq(ctx.dom->entry(idx).expr, it->second)) continue;
-      const PieceBounds b = boundsOf(*ctx.dom->entry(idx).expr, ctx.bounds);
-      if (b.totalLo > 0) {
-        ctx.prune(idx, "anti",
-                  "partner=" + from + " fields=" + pair_.fieldA + "," +
-                      pair_.fieldB + " totalLo=" + std::to_string(b.totalLo));
-      }
+/// Anti-affinity of two symbols, one direction: once `from` is assigned,
+/// candidates of `to` identical to it with a provably non-empty piece total
+/// are pruned (the two partitions must be piecewise disjoint).
+void anti(PropagationContext& ctx, const SolverVocabulary::SymbolPair& p,
+          const std::string& from, const std::string& to) {
+  auto it = ctx.partial->find(from);
+  if (it == ctx.partial->end() || !isOpen(ctx, to)) return;
+  for (std::size_t idx : ctx.dom->indicesOf(to)) {
+    if (!ctx.dom->live(idx)) continue;
+    if (!dpl::exprEq(ctx.dom->entry(idx).expr, it->second)) continue;
+    const PieceBounds b = boundsOf(*ctx.dom->entry(idx).expr, ctx.bounds);
+    if (b.totalLo > 0) {
+      ctx.prune(idx, "anti",
+                "partner=" + from + " fields=" + p.fieldA + "," + p.fieldB +
+                    " totalLo=" + std::to_string(b.totalLo));
     }
   }
-
-  SolverVocabulary::SymbolPair pair_;
-  std::set<std::string> watches_;
-};
+}
 
 }  // namespace
 
-std::vector<std::unique_ptr<Propagator>> makePropagators(
-    const SolverVocabulary& vocab) {
-  std::vector<std::unique_ptr<Propagator>> out;
+void propagate(const SolverVocabulary& vocab, PropagationContext& ctx) {
+  // Counts one run, then reports whether the pass must stop.
+  auto ran = [&ctx] {
+    if (ctx.stats != nullptr) ++ctx.stats->propagations;
+    return ctx.refuted;
+  };
   for (const auto& [sym, cap] : vocab.capacity) {
-    out.push_back(std::make_unique<CapacityPropagator>(sym, cap));
+    capacity(ctx, sym, cap);
+    if (ran()) return;
   }
   for (const auto& [sym, bounds] : vocab.replication) {
-    out.push_back(std::make_unique<ReplicationPropagator>(sym, bounds.first,
-                                                          bounds.second));
+    replication(ctx, sym, bounds.first, bounds.second);
+    if (ran()) return;
   }
   for (const SolverVocabulary::SymbolPair& p : vocab.colocated) {
-    out.push_back(std::make_unique<ColocatePropagator>(p));
+    colocate(ctx, p, p.symA, p.symB);
+    colocate(ctx, p, p.symB, p.symA);
+    if (ran()) return;
   }
   for (const SolverVocabulary::SymbolPair& p : vocab.antiAffine) {
-    out.push_back(std::make_unique<AntiAffinityPropagator>(p));
+    if (p.symA == p.symB) {
+      antiSelf(ctx, p);
+    } else {
+      anti(ctx, p, p.symA, p.symB);
+      anti(ctx, p, p.symB, p.symA);
+    }
+    if (ran()) return;
   }
-  return out;
 }
 
 }  // namespace dpart::constraint

@@ -4,7 +4,6 @@
 #include <functional>
 #include <limits>
 #include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -20,8 +19,7 @@ namespace dpart::constraint {
 enum class SearchHeuristic {
   /// The paper's Algorithm 2 order: Rule 1 (preimage), Rule 2 (union of
   /// lower bounds), Rule 3 (externals then equal) interleaved across
-  /// symbols. With an empty vocabulary this reproduces the syntax-directed
-  /// solver's search (and therefore its solutions) exactly.
+  /// symbols.
   PaperOrder,
   /// First-fail: group candidates by symbol, smallest live domain first.
   SmallestDomain,
@@ -40,10 +38,10 @@ struct SearchOptions {
   double restartGrowth = 4.0;
 };
 
-/// Propagation-engine counters (surfaced as compile.propagate.* gauges).
+/// Search counters (surfaced as compile.propagate.* gauges).
 struct SolveStats {
-  std::size_t propagations = 0;  ///< propagator executions
-  std::size_t prunes = 0;        ///< candidates removed by propagators
+  std::size_t propagations = 0;  ///< vocabulary rule runs (see propagate)
+  std::size_t prunes = 0;        ///< candidates removed by the rules
   std::size_t branches = 0;      ///< search-tree edges taken
   std::size_t backtracks = 0;    ///< failed nodes unwound
   std::size_t restarts = 0;      ///< heuristic restarts
@@ -53,7 +51,7 @@ struct SolveStats {
 /// first emptied which symbol's options, and why.
 struct ConflictInfo {
   std::string symbol;      ///< partition symbol that became unassignable
-  std::string rule;        ///< propagator rule id (e.g. "capacity-comp")
+  std::string rule;        ///< vocabulary rule id (e.g. "capacity-comp")
   std::string detail;      ///< human-readable justification
 
   [[nodiscard]] bool valid() const { return !rule.empty(); }
@@ -65,7 +63,7 @@ struct ConflictInfo {
 /// [totalLo, totalHi] the sum over all pieces. Derived structurally from
 /// region sizes alone (fixed external symbols are unknown partitions of a
 /// known region), so every bound holds for *any* assignment of externals —
-/// which is what makes propagator prunes sound and the certificate's
+/// which is what makes the rules' prunes sound and the certificate's
 /// arithmetic independently re-checkable.
 struct PieceBounds {
   static constexpr std::size_t kUnbounded =
@@ -89,7 +87,7 @@ struct BoundsEnv {
 
 /// Per-node domain store over the flat candidate list the paper's candidate
 /// generation produced for this search node. Candidates keep their global
-/// (paper) order; propagators flip live flags off.
+/// (paper) order; the vocabulary rules flip live flags off.
 class DomainStore {
  public:
   struct Entry {
@@ -108,7 +106,6 @@ class DomainStore {
   [[nodiscard]] std::size_t liveCount(const std::string& symbol) const;
   [[nodiscard]] const std::vector<std::size_t>& indicesOf(
       const std::string& symbol) const;
-  [[nodiscard]] std::vector<std::string> symbols() const;
 
   /// Iteration order for branching under the given heuristic. PaperOrder is
   /// the identity permutation; SmallestDomain stably groups by symbol with
@@ -121,7 +118,7 @@ class DomainStore {
   static const std::vector<std::size_t> kEmpty;
 };
 
-/// Shared state one propagation-to-fixpoint pass operates on.
+/// State one propagation pass over a search node operates on.
 struct PropagationContext {
   DomainStore* dom = nullptr;
   /// Current grounded partial assignment (values fully substituted).
@@ -133,8 +130,6 @@ struct PropagationContext {
   std::size_t nodeId = 0;
   SolveStats* stats = nullptr;
 
-  /// Out: symbols whose domains shrank in the current propagator run.
-  std::set<std::string> changed;
   /// Out: symbol refuted outright (search node fails immediately).
   bool refuted = false;
   ConflictInfo conflict;
@@ -145,23 +140,12 @@ struct PropagationContext {
               const std::string& detail);
 };
 
-/// A watched constraint: prunes candidate domains (or refutes a symbol)
-/// from the current partial assignment. Propagators watching a symbol are
-/// re-queued when that symbol is assigned; propagators that consume the
-/// per-node candidate lists additionally rerun at every node (candidate
-/// generation is node-local).
-class Propagator {
- public:
-  virtual ~Propagator() = default;
-  [[nodiscard]] virtual std::string id() const = 0;
-  [[nodiscard]] virtual const std::set<std::string>& watches() const = 0;
-  [[nodiscard]] virtual bool rerunEveryNode() const { return false; }
-  virtual void propagate(PropagationContext& ctx) = 0;
-};
-
-/// Builds the propagator set for a translated vocabulary. Empty vocabulary
-/// => empty set => the engine's search degenerates to the paper's.
-[[nodiscard]] std::vector<std::unique_ptr<Propagator>> makePropagators(
-    const SolverVocabulary& vocab);
+/// Runs every vocabulary rule once over the node's domain store, in order:
+/// capacity by symbol, replication by symbol, co-location pairs, then
+/// anti-affinity pairs. Stops at the first refutation. One pass is a
+/// fixpoint: each rule reads only the partial assignment, the node's system
+/// and the candidates themselves, never another rule's prunes, so running
+/// a rule again prunes nothing new. Counts one propagation per rule run.
+void propagate(const SolverVocabulary& vocab, PropagationContext& ctx);
 
 }  // namespace dpart::constraint

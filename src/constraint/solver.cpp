@@ -6,7 +6,6 @@
 
 #include "constraint/entail.hpp"
 #include "constraint/proof.hpp"
-#include "support/check.hpp"
 
 namespace dpart::constraint {
 
@@ -54,23 +53,6 @@ Solver::Solver(System system, std::set<std::string> rangeFns,
       rangeFns_(std::move(rangeFns)),
       config_(std::move(config)) {}
 
-Solution Solver::solve(const std::map<std::string, ExprPtr>& initial) {
-  steps_ = 0;
-  if (config_.engine == SolverEngine::Propagation) {
-    return solvePropagation(initial);
-  }
-  stepCap_ = maxSteps_;
-  Solution out;
-  std::vector<std::string> order;
-  if (!solveRec(initial, order, out)) {
-    out.ok = false;
-    if (out.failure.empty()) out.failure = "no resolution found";
-  }
-  return out;
-}
-
-// ---- propagation engine --------------------------------------------------
-
 namespace {
 SearchHeuristic flip(SearchHeuristic h) {
   return h == SearchHeuristic::PaperOrder ? SearchHeuristic::SmallestDomain
@@ -78,9 +60,8 @@ SearchHeuristic flip(SearchHeuristic h) {
 }
 }  // namespace
 
-Solution Solver::solvePropagation(
-    const std::map<std::string, ExprPtr>& initial) {
-  propagators_ = makePropagators(config_.vocab);
+Solution Solver::solve(const std::map<std::string, ExprPtr>& initial) {
+  steps_ = 0;
   conflict_ = ConflictInfo{};
   nodeCounter_ = 0;
   ProofLog* proof = config_.proof;
@@ -183,10 +164,7 @@ bool Solver::searchNode(const std::map<std::string, ExprPtr>& partial,
     }
   }
 
-  // Propagate to fixpoint through the watched-constraint queue: seed with
-  // the propagators affected by the branching assignment (all of them at
-  // the root, and always those that consume the node-local candidate
-  // lists), then chase domain changes.
+  // One ordered pass of the vocabulary rules prunes the node's store.
   PropagationContext ctx;
   ctx.dom = &dom;
   ctx.partial = &partial;
@@ -200,34 +178,7 @@ bool Solver::searchNode(const std::map<std::string, ExprPtr>& partial,
   ctx.proof = proof;
   ctx.nodeId = id;
   ctx.stats = &out.stats;
-
-  std::vector<std::size_t> queue;
-  std::vector<char> queued(propagators_.size(), 0);
-  auto enqueue = [&](std::size_t i) {
-    if (queued[i] == 0) {
-      queued[i] = 1;
-      queue.push_back(i);
-    }
-  };
-  for (std::size_t i = 0; i < propagators_.size(); ++i) {
-    if (branchedSymbol.empty() || propagators_[i]->rerunEveryNode() ||
-        propagators_[i]->watches().contains(branchedSymbol)) {
-      enqueue(i);
-    }
-  }
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const std::size_t i = queue[head];
-    queued[i] = 0;
-    ctx.changed.clear();
-    propagators_[i]->propagate(ctx);
-    ++out.stats.propagations;
-    if (ctx.refuted) break;
-    for (const std::string& sym : ctx.changed) {
-      for (std::size_t j = 0; j < propagators_.size(); ++j) {
-        if (j != i && propagators_[j]->watches().contains(sym)) enqueue(j);
-      }
-    }
-  }
+  propagate(config_.vocab, ctx);
   if (ctx.conflict.valid() && !conflict_.valid()) conflict_ = ctx.conflict;
   if (ctx.refuted) {
     // A symbol was refuted for every possible expression: no extension of
@@ -268,7 +219,7 @@ bool Solver::searchNode(const std::map<std::string, ExprPtr>& partial,
   return false;
 }
 
-// ---- shared candidate generation ----------------------------------------
+// ---- candidate generation ------------------------------------------------
 
 namespace {
 
@@ -430,52 +381,6 @@ std::vector<Solver::Candidate> Solver::candidates(
     cands.push_back(Candidate{p, equalOf(c.regionOf(p))});
   }
   return cands;
-}
-
-// ---- legacy syntax-directed engine (differential reference) --------------
-
-bool Solver::solveRec(const std::map<std::string, ExprPtr>& partial,
-                      std::vector<std::string>& order, Solution& out) {
-  if (++steps_ > maxSteps_) {
-    out.failure = "search budget exhausted";
-    return false;
-  }
-  const System c = system_.substituted(partial);
-  const std::set<std::string> open = c.openSymbols();
-  if (open.empty()) {
-    const std::string bad = checkResolved(c, rangeFns_);
-    if (!bad.empty()) {
-      if (out.failure.empty()) out.failure = "unprovable conjunct: " + bad;
-      return false;
-    }
-    out.ok = true;
-    out.assignments = partial;
-    out.order = order;
-    out.resolved = c;
-    return true;
-  }
-
-  EqualitySet tried;  // avoid retrying identical equalities
-  for (const Candidate& cand : candidates(c, open)) {
-    if (!tried.insert(Equality{&cand.symbol, cand.expr.get()}).second) {
-      continue;
-    }
-    std::map<std::string, ExprPtr> next = partial;
-    next[cand.symbol] = cand.expr;
-    // Ground the new equality against earlier assignments so every value
-    // stays fully substituted.
-    for (auto& [sym, expr] : next) {
-      expr = dpl::substitute(expr, next);
-    }
-    order.push_back(cand.symbol);
-    if (solveRec(next, order, out)) return true;
-    order.pop_back();
-    if (steps_ > maxSteps_) return false;
-  }
-  if (out.failure.empty()) {
-    out.failure = "no candidate resolves symbol set";
-  }
-  return false;
 }
 
 }  // namespace dpart::constraint

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -15,32 +14,18 @@ namespace dpart::constraint {
 
 class ProofLog;
 
-/// Which resolution engine runs the search.
-enum class SolverEngine {
-  /// CP propagation loop: per-node domain stores over the paper's candidate
-  /// expressions, watched-constraint propagator queue for the external
-  /// vocabulary, restartable search heuristics, optional proof logging.
-  /// With an empty vocabulary its search — and therefore its solutions —
-  /// are identical to SyntaxDirected (differential-tested).
-  Propagation,
-  /// The original Algorithm 2 recursive resolution, kept as the reference
-  /// implementation for differential testing.
-  SyntaxDirected,
-};
-
-/// Per-solve configuration of the propagation engine.
+/// Per-solve configuration of the solver.
 struct SolverConfig {
-  SolverEngine engine = SolverEngine::Propagation;
   /// Vocabulary constraints translated onto this system's symbols.
   SolverVocabulary vocab;
-  /// |R| per region name (propagator arithmetic; may be empty, in which
-  /// case vocabulary propagators never fire).
+  /// |R| per region name (the vocabulary rules' interval arithmetic; may be
+  /// empty, in which case no size-based rule fires).
   std::map<std::string, std::size_t> regionSizes;
   /// Piece count partitions will be materialized at (0 = unknown).
   std::size_t pieces = 0;
   SearchOptions search;
   /// Proof certificate sink; the caller emits the header (model + system)
-  /// and the solver appends the search trail. nullptr disables logging.
+  /// and the solve appends its own search trail. nullptr disables logging.
   ProofLog* proof = nullptr;
 };
 
@@ -56,10 +41,10 @@ struct Solution {
   std::vector<std::string> order;
   /// The fully substituted, verified system (diagnostics / tests).
   System resolved;
-  /// Propagation-engine counters (all zero under SyntaxDirected).
+  /// Search counters.
   SolveStats stats;
   /// First-conflict provenance when the failure stems from the external
-  /// vocabulary (valid() iff a propagator emptied a symbol's options).
+  /// vocabulary (valid() iff a vocabulary rule emptied a symbol's options).
   ConflictInfo conflict;
 
   /// Emits the solution as a DPL program with subexpression CSE, so derived
@@ -81,11 +66,9 @@ struct Solution {
 ///     provided partitions first (partition reuse, Section 3.3), then
 ///     equal(R) (L1).
 ///
-/// The default engine wraps that candidate generation in a CP propagation
-/// loop (constraint/propagate): each search node's candidates seed a domain
-/// store, vocabulary propagators prune it through a watched-constraint
-/// queue, and the branching order is a restartable heuristic. See
-/// docs/solver.md.
+/// Each search node's candidates seed a domain store, one ordered pass of
+/// the vocabulary rules prunes it (constraint/propagate), and the branching
+/// order is a restartable heuristic. See docs/solver.md.
 class Solver {
  public:
   /// `rangeFns` lists range-valued fn ids (Section 4 lemma exclusions).
@@ -108,14 +91,10 @@ class Solver {
     ExprPtr expr;
   };
 
-  bool solveRec(const std::map<std::string, ExprPtr>& partial,
-                std::vector<std::string>& order, Solution& out);
   bool searchNode(const std::map<std::string, ExprPtr>& partial,
                   std::vector<std::string>& order, Solution& out,
                   std::size_t parentId, const std::string& branchedSymbol,
                   SearchHeuristic heuristic);
-  [[nodiscard]] Solution solvePropagation(
-      const std::map<std::string, ExprPtr>& initial);
   /// The node's candidate table; `open` is c.openSymbols().
   [[nodiscard]] std::vector<Candidate> candidates(
       const System& c, const std::set<std::string>& open) const;
@@ -129,7 +108,6 @@ class Solver {
   bool budgetHit_ = false;      ///< current attempt stopped on its cap
   std::size_t nodeCounter_ = 0;
   ConflictInfo conflict_;
-  std::vector<std::unique_ptr<Propagator>> propagators_;
 };
 
 }  // namespace dpart::constraint

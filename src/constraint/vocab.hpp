@@ -14,8 +14,8 @@ namespace dpart::constraint {
 /// predicates): placement requirements a production scheduler imposes on the
 /// synthesized partitions. Users state them in *field/region* terms; the
 /// parallelizer translates them onto the solver's partition symbols after
-/// unification (see SolverVocabulary) where the propagation engine enforces
-/// them (constraint/propagate).
+/// unification (see SolverVocabulary) where the solver's vocabulary rules
+/// enforce them (constraint/propagate).
 
 /// No piece of any partition of `region` may hold more than `maxPerPiece`
 /// elements — a per-node memory/capacity budget.
@@ -66,8 +66,8 @@ struct Vocabulary {
 };
 
 /// The same constraints translated onto post-unification partition symbols
-/// (what the propagators consume). Pairs keep the originating field names
-/// for first-conflict provenance.
+/// (what the vocabulary rules consume). Pairs keep the originating field
+/// names for first-conflict provenance.
 struct SolverVocabulary {
   struct SymbolPair {
     std::string symA, symB;    ///< partition symbols (post-unification)

@@ -466,8 +466,8 @@ constraint::SolverVocabulary translateVocabulary(
       for (const std::string& sb : fieldSymbols(fa.fieldB)) {
         // Unification may have collapsed both fields onto one symbol:
         // co-location then already holds structurally, while anti-affinity
-        // becomes a (refutable) self-conflict the propagator reports with
-        // field provenance.
+        // becomes a (refutable) self-conflict the anti-affinity rule reports
+        // with field provenance.
         if (fa.together && sa == sb) continue;
         const auto key = std::minmax(sa, sb);
         auto& seen = fa.together ? seenCo : seenAnti;
@@ -485,13 +485,10 @@ constraint::SolverVocabulary translateVocabulary(
   return svocab;
 }
 
-/// Logs a proof certificate's model section (ground regions and fns, the
-/// decisive system, the vocabulary) and its search trail, by replaying the
-/// decisive solve with logging on: the solver is deterministic, so the
-/// replay reproduces the solve it certifies.
-void logSolve(constraint::ProofLog& proof, const region::World& world,
-              const System& decisive, const std::set<std::string>& rangeFns,
-              constraint::SolverConfig cfg, bool solved) {
+/// Logs a proof certificate's model section: the ground regions and fns,
+/// the system about to be solved, and the vocabulary.
+void logModel(constraint::ProofLog& proof, const region::World& world,
+              const System& system, const constraint::SolverConfig& cfg) {
   proof.begin(cfg.pieces);
   for (const std::string& r : world.regionNames()) {
     proof.region(r, static_cast<std::size_t>(world.region(r).size()));
@@ -516,14 +513,11 @@ void logSolve(constraint::ProofLog& proof, const region::World& world,
       proof.pointFn(id, fn.domainRegion, fn.rangeRegion, table);
     }
   }
-  for (const std::string& sym : decisive.symbols()) {
-    proof.symbol(sym, decisive.isFixed(sym), decisive.regionOf(sym));
+  for (const std::string& sym : system.symbols()) {
+    proof.symbol(sym, system.isFixed(sym), system.regionOf(sym));
   }
-  proof.conjuncts(decisive);
+  proof.conjuncts(system);
   proof.vocabulary(cfg.vocab);
-  cfg.proof = &proof;
-  DPART_CHECK(constraint::Solver(decisive, rangeFns, cfg).solve().ok == solved,
-              "proof replay diverged from the decisive solve");
 }
 
 /// Solve (Algorithm 2) on the unified system under the translated
@@ -531,8 +525,10 @@ void logSolve(constraint::ProofLog& proof, const region::World& world,
 /// loop whose uncentered reductions all target one partition symbol demands
 /// DISJ on it, so the solver derives a preimage iteration partition and no
 /// buffer is needed; when that is unsolvable, the plain system is solved
-/// instead. With `proof`, the certificate's model and trail are logged, and
-/// an infeasible certificate is written before the failure is thrown.
+/// instead. With `proof`, each solve starts the certificate afresh with its
+/// model and logs its own trail, so the certificate is the log of the
+/// deciding solve; an infeasible certificate is written before the failure
+/// is thrown.
 Resolution solve(constraint::UnifyResult unified,
                  const std::vector<LoopState>& loops,
                  const constraint::SolverVocabulary& svocab,
@@ -552,12 +548,19 @@ Resolution solve(constraint::UnifyResult unified,
   }
 
   constraint::SolverConfig scfg;
-  scfg.engine = options.engine;
   scfg.vocab = svocab;
   scfg.pieces = options.pieces;
   for (const std::string& r : world.regionNames()) {
     scfg.regionSizes[r] = static_cast<std::size_t>(world.region(r).size());
   }
+  scfg.proof = proof;
+  auto solveSystem = [&](const System& system) {
+    if (proof != nullptr) {
+      *proof = constraint::ProofLog{};
+      logModel(*proof, world, system, scfg);
+    }
+    return constraint::Solver(system, rangeFns, scfg).solve();
+  };
 
   const System& combined = unified.system;
   System attempt = combined;
@@ -568,16 +571,8 @@ Resolution solve(constraint::UnifyResult unified,
   }
   Resolution out;
   constraint::Solution& sol = out.solution;
-  sol = constraint::Solver(attempt, rangeFns, scfg).solve();
-  bool usedAttempt = true;
-  if (!sol.ok && !disjointified.empty()) {
-    sol = constraint::Solver(combined, rangeFns, scfg).solve();
-    usedAttempt = false;
-  }
-  if (proof != nullptr) {
-    logSolve(*proof, world, usedAttempt ? attempt : combined, rangeFns, scfg,
-             sol.ok);
-  }
+  sol = solveSystem(attempt);
+  if (!sol.ok && !disjointified.empty()) sol = solveSystem(combined);
   if (!sol.ok) {
     const std::string msg = "constraint resolution failed: " + sol.failure;
     // The certificate already carries the infeasibility trail; write it
@@ -813,9 +808,6 @@ ParallelPlan AutoParallelizer::plan(const ir::Program& program) {
   {
     Phase phase(tracer_, "phase.infer", stats.inferMs);
     if (!options_.vocab.empty()) {
-      DPART_CHECK(options_.engine == constraint::SolverEngine::Propagation,
-                  "the syntax-directed engine does not support external "
-                  "vocabularies");
       const std::string problem =
           vocabularyProblem(options_.vocab, world_, options_.pieces);
       DPART_CHECK(problem.empty(), problem);

@@ -51,15 +51,12 @@ struct Options {
   /// every other compile skips that stage.
   SolveCache* solveCache = nullptr;
   /// External-constraint vocabulary (capacity / co-location / anti-affinity
-  /// / replication); enforced by the propagation engine, checked at runtime
-  /// by region/verify. Empty = no extra constraints.
+  /// / replication); enforced by the solver's vocabulary rules, checked at
+  /// runtime by region/verify. Empty = no extra constraints.
   constraint::Vocabulary vocab;
   /// Piece count partitions will be materialized at; required (> 0) when
   /// `vocab` carries capacity or replication bounds.
   std::size_t pieces = 0;
-  /// Which resolution engine runs (SyntaxDirected is the differential
-  /// reference; it rejects non-empty vocabularies).
-  constraint::SolverEngine engine = constraint::SolverEngine::Propagation;
   /// When non-empty, write a machine-checkable proof certificate of the
   /// solve (DPRF format, see docs/solver.md) to this path — on success and
   /// on infeasibility alike. tools/proof_check replays it.
@@ -87,8 +84,8 @@ struct CompileStats {
   std::uint64_t cacheKey = 0;
   /// True when collapse+unify+solve was served from Options::solveCache.
   bool cacheHit = false;
-  /// Propagation-engine counters (compile.propagate.* gauges; all zero on a
-  /// cache hit or under the syntax-directed engine).
+  /// Search counters (compile.propagate.* gauges; all zero on a cache
+  /// hit).
   constraint::SolveStats solve;
   /// Proof-certificate size (compile.proof.* gauges; zero when no
   /// certificate was requested).

@@ -214,7 +214,7 @@ Plan SessionBuilder::compile(region::World& world, Tracer* tracer) {
   DPART_TRACE_SPAN(tracer, "compile", "compile");
   auto payload = std::make_shared<Plan::Payload>();
   payload->pieces = pieces_;
-  // The vocabulary propagators and proof certificates reason about concrete
+  // The vocabulary rules and proof certificates reason about concrete
   // piece counts; the builder's piece count is authoritative.
   compileOptions_.pieces = pieces_;
   parallelize::AutoParallelizer parallelizer(world, compileOptions_);

@@ -1,6 +1,8 @@
 // Proof-certificate emission: successful and infeasible compiles write DPRF
 // certificates (consumed by tools/proof_check), the compile stats surface
-// their size, and proof-emitting compiles bypass the solve cache.
+// their size, and proof-emitting compiles bypass the solve cache. Pinned
+// certificate hashes hold the search trails themselves, and a vocabulary
+// compile's trail shows how many times the rules ran.
 
 #include <cstdint>
 #include <fstream>
@@ -38,6 +40,15 @@ bool hasLineStarting(const std::vector<std::string>& lines,
     if (l.rfind(prefix, 0) == 0) return true;
   }
   return false;
+}
+
+std::size_t countLinesStarting(const std::vector<std::string>& lines,
+                               const std::string& prefix) {
+  std::size_t n = 0;
+  for (const std::string& l : lines) {
+    if (l.rfind(prefix, 0) == 0) ++n;
+  }
+  return n;
 }
 
 apps::SpmvApp::Params smallParams() {
@@ -140,6 +151,62 @@ TEST(ProofEmission, ProofCompilesBypassTheSolveCache) {
   EXPECT_EQ(proved.dpl.toString(), first.dpl.toString());
 }
 
+// A compile whose Section 5.1 disjoint-reduction attempt is unsolvable
+// solves the plain system next. Each solve starts the certificate afresh,
+// so it holds one model and one trail — the plain system's — and none of
+// the failed attempt.
+TEST(ProofEmission, FallbackSolveWritesOnlyTheDecidingTrail) {
+  // An uncentered reduction through a range-valued fn: no preimage of a
+  // disjoint target partition exists for it (Rule 1 takes point fns only),
+  // so demanding a disjoint target fails and the reduction is buffered.
+  region::World world;
+  auto& rows = world.addRegion("Rows", 8);
+  world.addRegion("Cols", 17).addField("acc", region::FieldType::F64);
+  rows.addField("span", region::FieldType::Range);
+  rows.addField("val", region::FieldType::F64);
+  world.defineRangeFn("Rows", "span", "Cols");
+  auto span = rows.range("span");
+  for (region::Index r = 0; r < 8; ++r) {
+    // Overlapping spans of three columns.
+    span[static_cast<std::size_t>(r)] = region::Run{2 * r, 2 * r + 3};
+  }
+  ir::Program prog;
+  ir::LoopBuilder b("scatter", "i", "Rows");
+  b.loadF64("x", "Rows", "val", "i");
+  b.loadRange("rg", "Rows", "span", "i");
+  b.beginInner("k", "rg");
+  b.reduce("Cols", "acc", "k", "x");
+  b.endInner();
+  prog.loops.push_back(b.build());
+
+  parallelize::Options opts;
+  opts.enableRelaxation = false;
+  opts.pieces = 4;
+  opts.proofFile = ::testing::TempDir() + "proof_fallback.dprf";
+  const parallelize::ParallelPlan plan =
+      parallelize::AutoParallelizer(world, opts).plan(prog);
+  ASSERT_EQ(plan.loops.size(), 1u);
+  for (const auto& [stmt, rp] : plan.loops[0].reduces) {
+    EXPECT_NE(rp.strategy, optimize::ReduceStrategy::Direct)
+        << "the disjoint-reduction attempt was expected to fail";
+  }
+
+  const std::vector<std::string> lines = readLines(opts.proofFile);
+  EXPECT_EQ(countLinesStarting(lines, "cert DPRF 1"), 1u);
+  EXPECT_EQ(countLinesStarting(lines, "begin search"), 1u);
+  EXPECT_EQ(countLinesStarting(lines, "solution"), 1u);
+  EXPECT_EQ(countLinesStarting(lines, "infeasible"), 0u);
+}
+
+// FNV-1a-64 of a file's bytes.
+std::uint64_t fileHash(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  const std::string bytes{std::istreambuf_iterator<char>(in),
+                          std::istreambuf_iterator<char>()};
+  return fnv1a64(bytes);
+}
+
 // FNV-1a-64 of the certificate a 4-piece compile of `program` writes.
 std::uint64_t certificateHash(const region::World& world,
                               const ir::Program& program,
@@ -148,11 +215,7 @@ std::uint64_t certificateHash(const region::World& world,
   opts.pieces = 4;
   opts.proofFile = ::testing::TempDir() + "trail_" + name + ".dprf";
   (void)parallelize::AutoParallelizer(world, opts).plan(program);
-  std::ifstream in(opts.proofFile, std::ios::binary);
-  EXPECT_TRUE(in.good()) << opts.proofFile;
-  const std::string bytes{std::istreambuf_iterator<char>(in),
-                          std::istreambuf_iterator<char>()};
-  return fnv1a64(bytes);
+  return fileHash(opts.proofFile);
 }
 
 // A certificate logs every node, candidate, dedup, branch and leaf of the
@@ -177,6 +240,116 @@ TEST(ProofEmission, SearchTrailsOfTheFiveAppsArePinned) {
   apps::PennantApp pennant({.zx = 4, .zyPerPiece = 4, .pieces = 4});
   EXPECT_EQ(certificateHash(pennant.world(), pennant.program(), "pennant"),
             0x6b5cc82e07284fb8ULL);
+}
+
+// ---- The vocabulary path ---------------------------------------------------
+
+// The world, program and feasible vocabulary of examples/constraints_demo:
+// particles reading their cell's velocity, cells updating their own.
+void buildDemoWorld(region::World& world) {
+  constexpr region::Index kParticles = 60;
+  constexpr region::Index kCells = 20;
+  auto& particles = world.addRegion("Particles", kParticles);
+  auto& cells = world.addRegion("Cells", kCells);
+  particles.addField("cell", region::FieldType::Idx);
+  particles.addField("pos", region::FieldType::F64);
+  cells.addField("vel", region::FieldType::F64);
+  cells.addField("acc", region::FieldType::F64);
+  auto cell = particles.idx("cell");
+  for (region::Index p = 0; p < kParticles; ++p) {
+    cell[static_cast<std::size_t>(p)] = p % kCells;
+  }
+  auto vel = cells.f64("vel");
+  auto acc = cells.f64("acc");
+  for (region::Index c = 0; c < kCells; ++c) {
+    vel[static_cast<std::size_t>(c)] = 0.01 * double(c);
+    acc[static_cast<std::size_t>(c)] = 0.001 * double(c % 7);
+  }
+  world.defineFieldFn("Particles", "cell", "Cells");
+}
+
+ir::Program demoProgram() {
+  ir::Program prog;
+  prog.name = "constraints_demo";
+  {
+    ir::LoopBuilder b("update_particles", "p", "Particles");
+    b.loadIdx("c", "Particles", "cell", "p");
+    b.loadF64("v1", "Cells", "vel", "c");
+    b.compute("dp", {"v1"}, [](auto v) { return 0.5 * v[0]; });
+    b.reduce("Particles", "pos", "p", "dp");
+    prog.loops.push_back(b.build());
+  }
+  {
+    ir::LoopBuilder b("update_cells", "c", "Cells");
+    b.loadF64("a1", "Cells", "acc", "c");
+    b.compute("dv", {"a1"}, [](auto v) { return v[0]; });
+    b.reduce("Cells", "vel", "c", "dv");
+    prog.loops.push_back(b.build());
+  }
+  return prog;
+}
+
+Plan compileDemo(region::World& world, const std::string& proofPath) {
+  const ir::Program prog = demoProgram();
+  return Session::parallelize(prog)
+      .pieces(4)
+      .capacity("Particles", 15)  // = ceil(60/4)
+      .capacity("Cells", 20)
+      .replication("Cells", 0.0, 8.0)
+      .colocate("Cells.vel", "Cells.acc")
+      .proof(proofPath)
+      .compile(world);
+}
+
+// The vocabulary rules' prune and refutation lines are part of the trail,
+// and tools/proof_check does not re-derive the prunes of a solution
+// certificate (it checks the solution itself), so these pins are what
+// catches a changed prune line.
+TEST(ProofEmission, VocabularySearchTrailsArePinned) {
+  region::World world;
+  buildDemoWorld(world);
+  const std::string feasible = ::testing::TempDir() + "trail_demo.dprf";
+  Plan plan = compileDemo(world, feasible);
+  EXPECT_EQ(plan.stats().solve.prunes, 4u);
+  EXPECT_EQ(plan.stats().solve.branches, 11u);
+  EXPECT_TRUE(hasLineStarting(readLines(feasible), "prune "));
+  EXPECT_EQ(fileHash(feasible), 0xb5d1d21f81e83229ULL);
+
+  // The capacity-infeasible certificate of
+  // InfeasibleCompileWritesCertificateBeforeThrowing.
+  apps::SpmvApp app(smallParams());
+  const std::string infeasible =
+      ::testing::TempDir() + "trail_infeasible.dprf";
+  EXPECT_THROW((void)Session::parallelize(app.program())
+                   .pieces(4)
+                   .capacity("Y", 1)
+                   .proof(infeasible)
+                   .compile(app.world()),
+               constraint::InfeasibleError);
+  EXPECT_TRUE(hasLineStarting(readLines(infeasible), "refute "));
+  EXPECT_EQ(fileHash(infeasible), 0x7334f62b603ae523ULL);
+}
+
+// One pass per node: in a compile that refutes nothing, every vocabulary
+// rule runs exactly once at each search node with open symbols. A leaf has
+// none and only checks its conjuncts, so the certificate's `node` lines
+// minus its `leaf` lines count the nodes that propagate.
+TEST(PropagationCount, OneRunPerRulePerSearchNode) {
+  region::World world;
+  buildDemoWorld(world);
+  const std::string path = ::testing::TempDir() + "count_demo.dprf";
+  Plan plan = compileDemo(world, path);
+  const std::vector<std::string> lines = readLines(path);
+  ASSERT_FALSE(hasLineStarting(lines, "refute "));
+  const std::size_t nodes = countLinesStarting(lines, "node ");
+  const std::size_t leaves = countLinesStarting(lines, "leaf ");
+  const constraint::SolveStats& stats = plan.stats().solve;
+  EXPECT_EQ(nodes, stats.branches + 1);
+  const constraint::SolverVocabulary& v = plan.parallelPlan().solverVocab;
+  const std::size_t rules = v.capacity.size() + v.replication.size() +
+                            v.colocated.size() + v.antiAffine.size();
+  EXPECT_EQ(rules, 6u);
+  EXPECT_EQ(stats.propagations, rules * (nodes - leaves));
 }
 
 }  // namespace

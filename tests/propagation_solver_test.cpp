@@ -1,5 +1,5 @@
 // Unit tests for the CP propagation layer under the solver: interval bounds
-// arithmetic, the DomainStore, vocabulary propagators (prunes, refutations,
+// arithmetic, the DomainStore, the vocabulary rules (prunes, refutations,
 // first-conflict provenance) and the restartable search heuristics.
 
 #include "constraint/propagate.hpp"
@@ -151,7 +151,7 @@ TEST(DomainStoreTest, SmallestDomainGroupsBySymbol) {
   EXPECT_EQ(dom.liveCount("A"), 1u);
 }
 
-// ---- Vocabulary propagators through the full solver -----------------------
+// ---- Vocabulary rules through the full solver ------------------------------
 
 class VocabSolveTest : public ::testing::Test {
  protected:
@@ -279,12 +279,12 @@ TEST_F(VocabSolveTest, ColocationAcrossRegionsIsInfeasibleWithProvenance) {
 
 TEST_F(VocabSolveTest, ColocationPrunesSurviveUnrelatedBranches) {
   // Regression: candidate lists are rebuilt at every search node, so the
-  // colocate prune must rerun even when the intervening branch assigned an
-  // unrelated symbol. Branch order is alphabetical here (equal depth):
-  // A (pair member), then M (unrelated), then Z (partner) — the prune on Z
-  // fires two branches below A's assignment. Before propagators reran at
-  // every node this solved with Z = equal(T), silently dropping the
-  // constraint.
+  // colocate prune must run at every node, even when the intervening branch
+  // assigned an unrelated symbol. Branch order is alphabetical here (equal
+  // depth): A (pair member), then M (unrelated), then Z (partner) — the
+  // prune on Z fires two branches below A's assignment. A solver that ran
+  // the rule only after a branch on A or Z solved this with Z = equal(T),
+  // silently dropping the constraint.
   SolverConfig cfg = config({});
   cfg.regionSizes["T"] = 8;
   cfg.vocab.colocated.push_back({"A", "Z", "R.a", "T.b"});
@@ -326,19 +326,6 @@ TEST_F(VocabSolveTest, AntiAffinityBetweenDistinctSymbols) {
   ASSERT_TRUE(sol.conflict.valid());
   EXPECT_EQ(sol.conflict.rule, "anti");
   EXPECT_NE(sol.conflict.detail.find("partner=P1"), std::string::npos);
-}
-
-TEST_F(VocabSolveTest, SyntaxDirectedEngineIgnoresVocabulary) {
-  SolverVocabulary vocab;
-  vocab.capacity["P1"] = 1;  // would be wildly infeasible under Propagation
-  SolverConfig cfg = config(std::move(vocab));
-  cfg.engine = SolverEngine::SyntaxDirected;
-  Solver solver(iterSystem(), {}, cfg);
-  const Solution sol = solver.solve();
-  // The reference engine predates the vocabulary: it must still solve (the
-  // parallelizer rejects vocab+SyntaxDirected before ever reaching here).
-  EXPECT_TRUE(sol.ok);
-  EXPECT_EQ(sol.stats.propagations, 0u);
 }
 
 TEST_F(VocabSolveTest, RestartsFireWhenBudgetExhausts) {

@@ -1,7 +1,8 @@
-// Differential tests between the propagation engine and the syntax-directed
-// reference: with an empty vocabulary both must synthesize bit-for-bit
-// identical plans on every application program, and an infeasible vocabulary
-// must surface as InfeasibleError with first-conflict provenance.
+// The solver's plans for every application program, pinned by hash, and
+// infeasible vocabularies surfacing as InfeasibleError with first-conflict
+// provenance.
+
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
@@ -11,29 +12,23 @@
 #include "apps/spmv.hpp"
 #include "apps/stencil.hpp"
 #include "parallelize/parallelize.hpp"
+#include "runtime/checkpoint.hpp"
 
 namespace dpart::parallelize {
 namespace {
 
-/// Plans `program` twice — propagation vs syntax-directed — and requires the
-/// full rendered plans (DPL program, loop plans, reduce handling) to match
-/// bit for bit.
-void expectEnginesAgree(const region::World& world,
-                        const ir::Program& program, const char* what) {
-  Options prop;
-  prop.engine = constraint::SolverEngine::Propagation;
-  ParallelPlan a = AutoParallelizer(world, prop).plan(program);
-
-  Options ref;
-  ref.engine = constraint::SolverEngine::SyntaxDirected;
-  ParallelPlan b = AutoParallelizer(world, ref).plan(program);
-
-  EXPECT_EQ(a.dpl.toString(), b.dpl.toString()) << what;
-  EXPECT_EQ(a.toString(), b.toString()) << what;
-  // The reference engine never runs propagators; the propagation engine must
-  // not have needed any prunes to agree with it.
-  EXPECT_EQ(a.stats.solve.prunes, 0u) << what;
-  EXPECT_EQ(b.stats.solve.propagations, 0u) << what;
+/// Plans `program` with default options and requires the full rendered plan
+/// (DPL program, loop plans, reduce handling) to hash to `golden`
+/// (CheckpointManager::hashPlan, FNV-1a-64 of ParallelPlan::toString), so
+/// any change in what the solver synthesizes shows. With no vocabulary, no
+/// rule runs and nothing is pruned.
+void expectPinnedPlan(const region::World& world, const ir::Program& program,
+                      std::uint64_t golden, const char* what) {
+  const ParallelPlan plan = AutoParallelizer(world).plan(program);
+  EXPECT_EQ(runtime::CheckpointManager::hashPlan(plan), golden)
+      << what << "\n" << plan.toString();
+  EXPECT_EQ(plan.stats.solve.prunes, 0u) << what;
+  EXPECT_EQ(plan.stats.solve.propagations, 0u) << what;
 }
 
 TEST(SolverDifferential, Spmv) {
@@ -41,7 +36,8 @@ TEST(SolverDifferential, Spmv) {
   p.rowsPerPiece = 32;
   p.pieces = 4;
   apps::SpmvApp app(p);
-  expectEnginesAgree(app.world(), app.program(), "spmv");
+  expectPinnedPlan(app.world(), app.program(), 0x084c14d873b178f0ULL,
+                   "spmv");
 }
 
 TEST(SolverDifferential, Stencil) {
@@ -50,7 +46,8 @@ TEST(SolverDifferential, Stencil) {
   p.cols = 16;
   p.pieces = 4;
   apps::StencilApp app(p);
-  expectEnginesAgree(app.world(), app.program(), "stencil");
+  expectPinnedPlan(app.world(), app.program(), 0xac13704b8ea45a10ULL,
+                   "stencil");
 }
 
 TEST(SolverDifferential, MiniAero) {
@@ -60,7 +57,8 @@ TEST(SolverDifferential, MiniAero) {
   p.nzPerPiece = 4;
   p.pieces = 2;
   apps::MiniAeroApp app(p);
-  expectEnginesAgree(app.world(), app.program(), "miniaero");
+  expectPinnedPlan(app.world(), app.program(), 0xfe4d069d445448e0ULL,
+                   "miniaero");
 }
 
 TEST(SolverDifferential, Circuit) {
@@ -69,7 +67,8 @@ TEST(SolverDifferential, Circuit) {
   p.nodesPerCluster = 32;
   p.wiresPerCluster = 128;
   apps::CircuitApp app(p);
-  expectEnginesAgree(app.world(), app.program(), "circuit");
+  expectPinnedPlan(app.world(), app.program(), 0x4922fa57bba6523bULL,
+                   "circuit");
 }
 
 TEST(SolverDifferential, Pennant) {
@@ -78,7 +77,8 @@ TEST(SolverDifferential, Pennant) {
   p.zyPerPiece = 4;
   p.pieces = 2;
   apps::PennantApp app(p);
-  expectEnginesAgree(app.world(), app.program(), "pennant");
+  expectPinnedPlan(app.world(), app.program(), 0xd6fe56d165b2a9b2ULL,
+                   "pennant");
 }
 
 // ---- Infeasible vocabularies --------------------------------------------
@@ -91,7 +91,7 @@ TEST(SolverDifferential, CapacityPigeonholeThrowsInfeasible) {
   Options opts;
   opts.pieces = p.pieces;
   // 128 rows over 4 pieces force a 32-row piece; a 1-row budget is a
-  // pigeonhole contradiction the propagators refute at the root.
+  // pigeonhole contradiction the capacity rule refutes at the root.
   opts.vocab.capacities.push_back({"Y", 1});
   try {
     (void)AutoParallelizer(app.world(), opts).plan(app.program());
@@ -125,35 +125,19 @@ TEST(SolverDifferential, SelfAntiAffinityThrowsInfeasible) {
 
 TEST(SolverDifferential, FeasibleVocabularyStillMatchesReferencePlan) {
   // A satisfiable vocabulary that never prunes the chosen candidates must
-  // leave the synthesized plan identical to the unconstrained reference.
+  // leave the synthesized plan identical to the unconstrained one.
   apps::SpmvApp::Params p;
   p.rowsPerPiece = 32;
   p.pieces = 4;
   apps::SpmvApp app(p);
 
-  Options ref;
-  ref.engine = constraint::SolverEngine::SyntaxDirected;
-  ParallelPlan b = AutoParallelizer(app.world(), ref).plan(app.program());
+  ParallelPlan b = AutoParallelizer(app.world()).plan(app.program());
 
   Options opts;
   opts.pieces = p.pieces;
   opts.vocab.capacities.push_back({"Y", 32});  // exactly ceil(128/4)
   ParallelPlan a = AutoParallelizer(app.world(), opts).plan(app.program());
   EXPECT_EQ(a.dpl.toString(), b.dpl.toString());
-}
-
-TEST(SolverDifferential, SyntaxDirectedRejectsVocabularies) {
-  apps::SpmvApp::Params p;
-  p.rowsPerPiece = 8;
-  p.pieces = 2;
-  apps::SpmvApp app(p);
-  Options opts;
-  opts.engine = constraint::SolverEngine::SyntaxDirected;
-  opts.pieces = p.pieces;
-  opts.vocab.capacities.push_back({"Y", 8});
-  EXPECT_THROW(
-      { (void)AutoParallelizer(app.world(), opts).plan(app.program()); },
-      Error);
 }
 
 }  // namespace
