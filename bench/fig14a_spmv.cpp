@@ -134,9 +134,6 @@ int runSkewed() {
   p.pieces = 8;
   p.skew = 1.0;  // heavy prefix: the first piece owns most non-zeros
 
-  runtime::RebalancePolicy policy;
-  policy.minTaskSeconds = 1e-4;  // ignore sub-0.1ms launches (noise)
-
   auto steadyState = [&](const char* series, double skew,
                          bool adaptive) -> std::pair<double, LaunchSample> {
     apps::SpmvApp::Params params = p;
@@ -147,7 +144,7 @@ int runSkewed() {
     SessionBuilder builder =
         Session::parallelize(app.program()).pieces(params.pieces).options(
             opts);
-    if (adaptive) builder.adaptive(policy);
+    if (adaptive) builder.adaptive();
     Session session = builder.build(app.world());
     double steadySum = 0;
     LaunchSample first;

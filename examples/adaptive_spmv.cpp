@@ -1,9 +1,12 @@
 // Adaptive repartitioning demo: a power-law SpMV whose auto-parallelized
 // `equal` partition puts ~80% of the non-zeros in piece 0, run twice —
-// once as solved, once with Session::adaptive() watching the per-piece
-// task times and swapping in weighted partitions at runtime (DESIGN.md
-// §11). Prints the per-launch imbalance trajectory of both runs and
-// cross-checks the adaptive result against the serial reference.
+// once as solved, once with Session::adaptive(), where the executor hands
+// each launch's per-piece task times to the Rebalancer, which swaps in a
+// weighted partition once the skew stands out of the launches' own noise
+// (DESIGN.md §11). Adaptive mode takes no settings. Prints the per-launch
+// imbalance trajectory of both runs (read from the exported
+// executor.task.* metrics) and cross-checks the adaptive result against the
+// serial reference.
 //
 // Build & run:  ./build/examples/adaptive_spmv
 
@@ -13,7 +16,7 @@
 
 #include "apps/spmv.hpp"
 #include "ir/interp.hpp"
-#include "runtime/rebalance.hpp"
+#include "runtime/executor.hpp"
 #include "runtime/session.hpp"
 
 using namespace dpart;
@@ -76,7 +79,7 @@ int main() {
   Session adaptive = Session::parallelize(rebalanced.program())
                          .pieces(params.pieces)
                          .options(opts)
-                         .adaptive()  // default RebalancePolicy
+                         .adaptive()
                          .build(rebalanced.world());
   runSeries("adaptive", adaptive, "spmv", params.pieces, kLaunches);
 

@@ -45,6 +45,15 @@ struct SolveStats {
   std::size_t branches = 0;      ///< search-tree edges taken
   std::size_t backtracks = 0;    ///< failed nodes unwound
   std::size_t restarts = 0;      ///< heuristic restarts
+
+  SolveStats& operator+=(const SolveStats& o) {
+    propagations += o.propagations;
+    prunes += o.prunes;
+    branches += o.branches;
+    backtracks += o.backtracks;
+    restarts += o.restarts;
+    return *this;
+  }
 };
 
 /// First-conflict provenance for an infeasible vocabulary: which constraint

@@ -572,7 +572,13 @@ Resolution solve(constraint::UnifyResult unified,
   Resolution out;
   constraint::Solution& sol = out.solution;
   sol = solveSystem(attempt);
-  if (!sol.ok && !disjointified.empty()) sol = solveSystem(combined);
+  if (!sol.ok && !disjointified.empty()) {
+    // The counters cover every solve of the compile, the failed attempt's
+    // search included; the certificate holds only the deciding solve.
+    const constraint::SolveStats attempted = sol.stats;
+    sol = solveSystem(combined);
+    sol.stats += attempted;
+  }
   if (!sol.ok) {
     const std::string msg = "constraint resolution failed: " + sol.failure;
     // The certificate already carries the infeasibility trail; write it

@@ -84,8 +84,9 @@ struct CompileStats {
   std::uint64_t cacheKey = 0;
   /// True when collapse+unify+solve was served from Options::solveCache.
   bool cacheHit = false;
-  /// Search counters (compile.propagate.* gauges; all zero on a cache
-  /// hit).
+  /// Search counters of every solve the compile ran, a failed Section 5.1
+  /// disjoint-reduction attempt included (compile.propagate.* gauges; all
+  /// zero on a cache hit).
   constraint::SolveStats solve;
   /// Proof-certificate size (compile.proof.* gauges; zero when no
   /// certificate was requested).

@@ -22,6 +22,17 @@ constexpr std::size_t kMaxCheckpointRestores = 16;
 
 }  // namespace
 
+MetricGauge& taskSecondsGauge(MetricsRegistry& metrics,
+                              const std::string& loop, std::size_t piece) {
+  return metrics.gauge("executor.task.secondsTotal",
+                       {{"loop", loop}, {"piece", std::to_string(piece)}});
+}
+
+MetricCounter& launchCounter(MetricsRegistry& metrics,
+                             const std::string& loop) {
+  return metrics.counter("executor.task.launches", {{"loop", loop}});
+}
+
 PlanExecutor::PlanExecutor(region::World& world,
                            const parallelize::ParallelPlan& plan,
                            std::size_t pieces, ExecOptions options)
@@ -43,16 +54,6 @@ PlanExecutor::PlanExecutor(region::World& world,
     checkpoints_ = std::make_unique<CheckpointManager>(options_.checkpoint.dir);
     planHash_ = CheckpointManager::hashPlan(plan_);
   }
-  if (options_.adaptive.enabled) {
-    if (options_.observability.metrics == nullptr) {
-      // The Rebalancer's cost signal lives in the metrics registry; adaptive
-      // mode without one gets a private registry.
-      ownedMetrics_ = std::make_unique<MetricsRegistry>();
-      options_.observability.metrics = ownedMetrics_.get();
-    }
-    rebalancer_ = std::make_unique<Rebalancer>(
-        options_.adaptive, *options_.observability.metrics);
-  }
 }
 
 PlanExecutor::~PlanExecutor() = default;
@@ -69,7 +70,7 @@ void PlanExecutor::publishMetrics() const {
   mx->gauge("executor.bufferedElements")
       .set(static_cast<double>(bufferedElements_));
   mx->gauge("executor.pieces").set(static_cast<double>(pieces_));
-  mx->gauge("executor.rebalances").set(static_cast<double>(rebalances_));
+  mx->gauge("executor.rebalances").set(static_cast<double>(rebalances()));
   mx->gauge("executor.injectedStallMicros")
       .set(static_cast<double>(injectedStallMicros()));
   evaluator_.counters().exportTo(*mx);
@@ -195,7 +196,7 @@ void PlanExecutor::runLoop(const parallelize::PlannedLoop& loop) {
   }
   launchSpan.annotate(std::move(args));
   publishLaunchMetrics(loop, stats.taskSeconds);
-  if (rebalancer_ != nullptr) maybeRebalance(loop);
+  if (options_.adaptive) maybeRebalance(loop, stats.taskSeconds);
 }
 
 LaunchStats PlanExecutor::runInProcess(const parallelize::PlannedLoop& loop,
@@ -279,20 +280,21 @@ void PlanExecutor::publishLaunchMetrics(
   mx->gauge("executor.imbalance", {{"loop", loop.loop->name}}).set(imbalance);
 }
 
-void PlanExecutor::maybeRebalance(const parallelize::PlannedLoop& loop) {
+void PlanExecutor::maybeRebalance(const parallelize::PlannedLoop& loop,
+                                  const std::vector<double>& taskSeconds) {
   const std::string& name = loop.loop->name;
-  rebalancer_->observe(name, pieces_);
-  if (!rebalancer_->shouldRebalance(name)) return;
+  rebalancer_.observe(name, taskSeconds);
+  if (!rebalancer_.shouldRebalance(name)) return;
   const std::string base = parallelize::equalBaseSymbol(plan_, loop);
   if (base.empty()) return;  // not equal-derived; nothing to substitute
 
   DPART_TRACE_SPAN_NAMED(span, tracer(), "executor", "rebalance");
   span.annotate("\"loop\":\"" + jsonEscape(name) + "\",\"base\":\"" +
                 jsonEscape(base) + "\",\"imbalance\":" +
-                std::to_string(rebalancer_->imbalance(name)) +
+                std::to_string(rebalancer_.imbalance(name)) +
                 ",\"pieces\":" + std::to_string(pieces_));
 
-  region::Partition weighted = rebalancer_->rebuild(
+  region::Partition weighted = rebalancer_.rebuild(
       world_, loop.loop->iterRegion, partition(loop.iterPartition), name);
   rebalancedBases_.insert_or_assign(base, std::move(weighted));
   std::set<std::string> replaced;
@@ -304,7 +306,6 @@ void PlanExecutor::maybeRebalance(const parallelize::PlannedLoop& loop) {
   // plan's proofs still hold on, whatever options.verifyPartitions says.
   region::verifyPartitionsOrThrow(world_, evaluator_.env(),
                                   planExpectations(plan_, pieces_));
-  ++rebalances_;
 }
 
 void PlanExecutor::checkpoint() {
@@ -357,7 +358,7 @@ void PlanExecutor::restoreFromCheckpoint(std::optional<std::size_t> lostNode) {
   // on the (possibly shrunken) machine.
   rebalancedBases_.clear();
   activeDpl_ = dpl::Program{};
-  if (rebalancer_ != nullptr) rebalancer_->reset();
+  rebalancer_.reset();
   evaluator_.reset(pieces_);
   externals_.clear();
   for (auto& [name, part] : restored.externals) {

@@ -18,6 +18,7 @@
 #include "runtime/rebalance.hpp"
 #include "runtime/task_exec.hpp"
 #include "support/fault.hpp"
+#include "support/metrics.hpp"
 #include "support/perf_counters.hpp"
 #include "support/thread_pool.hpp"
 #include "support/trace.hpp"
@@ -56,6 +57,15 @@ class NodeLossError : public Error {
 /// embed the same expectations at compile time); this alias keeps the
 /// historical runtime:: spelling working.
 using parallelize::planExpectations;
+
+/// The metrics schema the executor exports per-piece task CPU times under
+/// (thread CPU seconds — see ThreadCpuTimer for why not wall time). One
+/// gauge per (loop, piece) accumulates total task seconds; one counter per
+/// loop counts completed launches. An export only: the Rebalancer takes
+/// each launch's times directly (Rebalancer::observe).
+MetricGauge& taskSecondsGauge(MetricsRegistry& metrics,
+                              const std::string& loop, std::size_t piece);
+MetricCounter& launchCounter(MetricsRegistry& metrics, const std::string& loop);
 
 /// Executes a ParallelPlan: evaluates its DPL program to concrete
 /// partitions, then runs each planned loop as `pieces` tasks on a thread
@@ -116,10 +126,12 @@ class PlanExecutor {
   /// Restores that shrank the machine because a node was permanently lost.
   [[nodiscard]] std::size_t elasticShrinks() const { return elasticShrinks_; }
 
-  /// Adaptive rebalances performed so far (RebalancePolicy::enabled mode):
+  /// Adaptive rebalances performed so far (ExecOptions::adaptive mode):
   /// launches where a loop's `equal` base partition was replaced by a
   /// weighted one because the measured per-piece task times were skewed.
-  [[nodiscard]] std::size_t rebalances() const { return rebalances_; }
+  [[nodiscard]] std::size_t rebalances() const {
+    return rebalancer_.rebalances();
+  }
 
   /// Loop launches completed (across run() calls; rewound by a restore).
   [[nodiscard]] std::uint64_t launchesDone() const { return launchesDone_; }
@@ -193,15 +205,17 @@ class PlanExecutor {
                                          const region::Partition& iter);
 
   /// Publishes the per-piece task seconds and imbalance of one completed
-  /// launch (both backends report through this).
+  /// launch into the metrics registry, when one is set (both backends
+  /// report through this).
   void publishLaunchMetrics(const parallelize::PlannedLoop& loop,
                             const std::vector<double>& taskSeconds) const;
 
-  /// Feeds the completed launch's per-piece times to the Rebalancer and,
-  /// when the policy says so, swaps the loop's `equal` base for a weighted
-  /// partition and re-evaluates every derived partition (Section 3.3 path —
-  /// no re-solve), verifying legality unconditionally afterwards.
-  void maybeRebalance(const parallelize::PlannedLoop& loop);
+  /// Feeds the completed launch's per-piece task seconds to the Rebalancer
+  /// and, when its window says so, swaps the loop's `equal` base for a
+  /// weighted partition and re-evaluates every derived partition (Section
+  /// 3.3 path — no re-solve), verifying legality unconditionally afterwards.
+  void maybeRebalance(const parallelize::PlannedLoop& loop,
+                      const std::vector<double>& taskSeconds);
 
   region::World& world_;
   const parallelize::ParallelPlan& plan_;
@@ -221,18 +235,14 @@ class PlanExecutor {
   /// rebinding after a restore.
   std::map<std::string, region::Partition> externals_;
   std::unique_ptr<CheckpointManager> checkpoints_;
-  /// Metrics registry created when adaptive mode is on but the caller
-  /// supplied none: the Rebalancer's cost signal must have somewhere to
-  /// live. options_.observability.metrics points at it.
-  std::unique_ptr<MetricsRegistry> ownedMetrics_;
-  std::unique_ptr<Rebalancer> rebalancer_;
+  /// Consulted after every launch when options_.adaptive is on.
+  Rebalancer rebalancer_;
   /// Base symbols currently replaced by weighted partitions, and the plan's
   /// DPL program minus their definitions. Checkpoints deliberately exclude
   /// these: a restore reverts to the solver's unweighted bases (the window
   /// that justified the weights is stale after a restore/shrink anyway).
   std::map<std::string, region::Partition> rebalancedBases_;
   dpl::Program activeDpl_;
-  std::size_t rebalances_ = 0;
   /// Lazily created when the first launch runs with
   /// ExecBackend::MultiProcess.
   std::unique_ptr<dist::Coordinator> coordinator_;

@@ -50,42 +50,6 @@ struct CheckpointOptions {
       externalRebind;
 };
 
-/// Skew-aware adaptive repartitioning knobs (DESIGN.md §11). The executor
-/// measures per-piece task CPU times, publishes them through the metrics
-/// registry, and — when the imbalance of a loop's measured times crosses the
-/// trigger — swaps that loop's `equal` base partition for a weighted one
-/// (region::equalWeighted) routed through the external-binding path of
-/// Section 3.3: derived image/preimage partitions are re-evaluated, never
-/// re-solved, exactly like an elastic shrink.
-struct RebalancePolicy {
-  /// Master switch; Session::adaptive() turns it on.
-  bool enabled = false;
-  /// Rebalance when a loop's window imbalance (max piece time / mean piece
-  /// time, averaged over the observation window) reaches this. 1.0 means
-  /// perfectly balanced; the default tolerates 30% critical-path slack,
-  /// comfortably above scheduler noise on uniform workloads.
-  double triggerImbalance = 1.3;
-  /// Hysteresis band: any rebalance after the first for a loop requires
-  /// imbalance >= triggerImbalance * (1 + hysteresis), so two states
-  /// straddling the bare threshold cannot oscillate.
-  double hysteresis = 0.1;
-  /// Launches of a loop observed before its imbalance is trusted (the first
-  /// launches include cold caches and partition materialization jitter).
-  /// The loop's very first launch establishes the observation window's
-  /// metric baseline and is never counted, so the earliest possible trigger
-  /// is after launch warmupLaunches + 1.
-  int warmupLaunches = 2;
-  /// Launches observed under the *new* partition before the loop may
-  /// trigger again (the window resets on every rebalance).
-  int cooldownLaunches = 2;
-  /// Total rebalances allowed per executor, across all loops.
-  int maxRebalances = 4;
-  /// Launches whose critical-path task time is below this are not fed into
-  /// the observation window: times that small are scheduler noise, not a
-  /// balance signal. 0 trusts every launch.
-  double minTaskSeconds = 0;
-};
-
 /// Which execution backend runs a plan's loop launches.
 enum class ExecBackend {
   /// Tasks run on a thread pool inside this process (the default; all
@@ -144,7 +108,15 @@ struct ExecOptions {
   ResilienceOptions resilience;
   CheckpointOptions checkpoint;
   ObservabilityOptions observability;
-  RebalancePolicy adaptive;
+  /// Skew-aware adaptive repartitioning (DESIGN.md §11): the executor hands
+  /// each launch's per-piece task CPU times to a runtime::Rebalancer and,
+  /// when a loop's measured times are skewed past their own launch-to-launch
+  /// noise, swaps that loop's `equal` base partition for a weighted one
+  /// (region::equalWeighted) routed through the external-binding path of
+  /// Section 3.3: derived image/preimage partitions are re-evaluated, never
+  /// re-solved, exactly like an elastic shrink. Session::adaptive() turns
+  /// it on.
+  bool adaptive = false;
   DistributedOptions distributed;
 };
 

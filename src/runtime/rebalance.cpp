@@ -1,6 +1,7 @@
 #include "runtime/rebalance.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "region/dpl_ops.hpp"
 #include "support/check.hpp"
@@ -10,84 +11,86 @@ namespace dpart::runtime {
 using region::Index;
 using region::Partition;
 
-MetricGauge& taskSecondsGauge(MetricsRegistry& metrics,
-                              const std::string& loop, std::size_t piece) {
-  return metrics.gauge("executor.task.secondsTotal",
-                       {{"loop", loop}, {"piece", std::to_string(piece)}});
+namespace {
+
+/// Window imbalance that triggers a rebalance. 1.0 is perfect balance; 1.3
+/// tolerates 30% critical-path slack.
+constexpr double kTriggerImbalance = 1.3;
+/// A loop already rebalanced triggers again only past
+/// kTriggerImbalance * (1 + kHysteresis), so two states straddling the bare
+/// trigger cannot oscillate.
+constexpr double kHysteresis = 0.1;
+/// Launches a window holds before it is trusted, counting its first: the
+/// warmup before a loop's first trigger and the cooldown under each new
+/// partition alike (every rebalance restarts the window). Three launches
+/// give the noise floor a spread to measure.
+constexpr std::uint64_t kWindowLaunches = 3;
+/// Rebalances allowed per executor, across all loops.
+constexpr std::size_t kMaxRebalances = 4;
+
+}  // namespace
+
+void Rebalancer::Window::restart(std::size_t pieces) {
+  launches = 0;
+  shareSum.assign(pieces, 0.0);
+  shareMin.assign(pieces, std::numeric_limits<double>::infinity());
+  shareMax.assign(pieces, 0.0);
 }
 
-MetricCounter& launchCounter(MetricsRegistry& metrics,
-                             const std::string& loop) {
-  return metrics.counter("executor.task.launches", {{"loop", loop}});
+double Rebalancer::Window::imbalance() const {
+  if (launches == 0) return 0;
+  // Every launch's shares average 1, so the largest mean share is the
+  // window's max / mean.
+  return *std::max_element(shareSum.begin(), shareSum.end()) /
+         static_cast<double>(launches);
 }
 
-void Rebalancer::restartWindow(Window& w, const std::string& loop,
-                               std::size_t pieces) {
-  w.pieces = pieces;
-  w.baseLaunches = launchCounter(*metrics_, loop).value();
-  w.baseSeconds.resize(pieces);
-  for (std::size_t j = 0; j < pieces; ++j) {
-    w.baseSeconds[j] = taskSecondsGauge(*metrics_, loop, j).value();
+double Rebalancer::Window::noise() const {
+  double widest = 0;
+  for (std::size_t j = 0; j < shareSum.size(); ++j) {
+    widest = std::max(widest, shareMax[j] - shareMin[j]);
   }
-  w.launches = 0;
-  w.meanSeconds.clear();
-  w.imbalance = 0;
+  return widest;
 }
 
-void Rebalancer::observe(const std::string& loop, std::size_t pieces) {
+void Rebalancer::observe(const std::string& loop,
+                         const std::vector<double>& taskSeconds) {
+  DPART_CHECK(!taskSeconds.empty(), "observe(): a launch without task times");
   Window& w = windows_[loop];
-  if (w.pieces != pieces) restartWindow(w, loop, pieces);
-  w.launches = launchCounter(*metrics_, loop).value() - w.baseLaunches;
-  if (w.launches == 0) {
-    w.meanSeconds.clear();
-    w.imbalance = 0;
-    return;
-  }
-  w.meanSeconds.resize(pieces);
+  const std::size_t pieces = taskSeconds.size();
+  if (w.shareSum.size() != pieces) w.restart(pieces);
   double total = 0;
-  double worst = 0;
-  for (std::size_t j = 0; j < pieces; ++j) {
-    const double delta =
-        taskSecondsGauge(*metrics_, loop, j).value() - w.baseSeconds[j];
-    const double mean = delta / static_cast<double>(w.launches);
-    w.meanSeconds[j] = mean;
-    total += mean;
-    worst = std::max(worst, mean);
-  }
-  // Sub-threshold launches are scheduler noise, not a balance signal: hold
-  // the window at "no opinion" rather than trigger on microsecond jitter.
-  if (worst < policy_.minTaskSeconds) {
-    w.imbalance = 0;
-    return;
-  }
+  for (const double t : taskSeconds) total += t;
   const double mean = total / static_cast<double>(pieces);
-  w.imbalance = mean > 0 ? worst / mean : 0;
+  for (std::size_t j = 0; j < pieces; ++j) {
+    // Shares, not seconds: a launch that slows every piece alike (a busy
+    // machine) moves no share. A launch that measured nothing is even.
+    const double share = mean > 0 ? taskSeconds[j] / mean : 1.0;
+    w.shareSum[j] += share;
+    w.shareMin[j] = std::min(w.shareMin[j], share);
+    w.shareMax[j] = std::max(w.shareMax[j], share);
+  }
+  ++w.launches;
 }
 
 bool Rebalancer::shouldRebalance(const std::string& loop) const {
-  if (!policy_.enabled) return false;
-  if (rebalances_ >= static_cast<std::size_t>(
-                         std::max(0, policy_.maxRebalances))) {
-    return false;
-  }
+  if (rebalances_ >= kMaxRebalances) return false;
   auto it = windows_.find(loop);
   if (it == windows_.end()) return false;
   const Window& w = it->second;
-  // Warmup before the first trigger; after a rebalance the window restarts,
-  // so the same bound doubles as the cooldown under the new partition.
-  const int need = w.rebalanced
-                       ? std::max(policy_.warmupLaunches,
-                                  policy_.cooldownLaunches)
-                       : policy_.warmupLaunches;
-  if (w.launches < static_cast<std::uint64_t>(std::max(1, need))) return false;
-  double threshold = policy_.triggerImbalance;
-  if (w.rebalanced) threshold *= 1.0 + policy_.hysteresis;
-  return w.imbalance >= threshold;
+  if (w.launches < kWindowLaunches) return false;
+  const double trigger =
+      w.rebalanced ? kTriggerImbalance * (1.0 + kHysteresis)
+                   : kTriggerImbalance;
+  // The imbalance must pass the trigger even after the launch-to-launch
+  // spread the window itself shows is taken off it: a piece whose share
+  // moved that far between launches could have drawn that much by chance.
+  return w.imbalance() - w.noise() >= trigger;
 }
 
 double Rebalancer::imbalance(const std::string& loop) const {
   auto it = windows_.find(loop);
-  return it == windows_.end() ? 0 : it->second.imbalance;
+  return it == windows_.end() ? 0 : it->second.imbalance();
 }
 
 std::vector<double> Rebalancer::estimateWeights(
@@ -132,15 +135,16 @@ Partition Rebalancer::rebuild(const region::World& world,
                               const std::string& regionName,
                               const Partition& iter, const std::string& loop) {
   Window& w = windows_.at(loop);
-  DPART_CHECK(!w.meanSeconds.empty(),
+  DPART_CHECK(w.launches > 0,
               "rebuild() without an observed window for loop '" + loop + "'");
+  // Weights are relative, so the share sums serve as well as their means.
   const std::vector<double> weights =
-      estimateWeights(iter, w.meanSeconds, world.region(regionName).size());
+      estimateWeights(iter, w.shareSum, world.region(regionName).size());
   Partition replacement =
       region::equalWeighted(world, regionName, weights, iter.count());
   ++rebalances_;
   w.rebalanced = true;
-  restartWindow(w, loop, w.pieces);
+  w.restart(w.shareSum.size());
   return replacement;
 }
 

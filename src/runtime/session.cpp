@@ -203,9 +203,8 @@ SessionBuilder& SessionBuilder::proof(std::string file) {
   return *this;
 }
 
-SessionBuilder& SessionBuilder::adaptive(runtime::RebalancePolicy policy) {
-  policy.enabled = true;
-  options_.adaptive = policy;
+SessionBuilder& SessionBuilder::adaptive() {
+  options_.adaptive = true;
   return *this;
 }
 

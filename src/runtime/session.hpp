@@ -146,9 +146,8 @@ class SessionBuilder {
   SessionBuilder& proof(std::string file);
   /// Enables skew-aware adaptive repartitioning (runtime/rebalance): the
   /// executor watches per-piece task times and swaps skewed loops'
-  /// `equal` bases for weighted partitions under `policy`'s trigger /
-  /// hysteresis / cooldown / cap controls. `policy.enabled` is forced on.
-  SessionBuilder& adaptive(runtime::RebalancePolicy policy = {});
+  /// `equal` bases for weighted partitions.
+  SessionBuilder& adaptive();
 
   /// Runs the compiler only: infer / relax / canonicalize / (cached)
   /// solve / synthesize against `world`'s region shapes, returning the

@@ -9,6 +9,7 @@
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -151,15 +152,11 @@ TEST(ProofEmission, ProofCompilesBypassTheSolveCache) {
   EXPECT_EQ(proved.dpl.toString(), first.dpl.toString());
 }
 
-// A compile whose Section 5.1 disjoint-reduction attempt is unsolvable
-// solves the plain system next. Each solve starts the certificate afresh,
-// so it holds one model and one trail — the plain system's — and none of
-// the failed attempt.
-TEST(ProofEmission, FallbackSolveWritesOnlyTheDecidingTrail) {
-  // An uncentered reduction through a range-valued fn: no preimage of a
-  // disjoint target partition exists for it (Rule 1 takes point fns only),
-  // so demanding a disjoint target fails and the reduction is buffered.
-  region::World world;
+// An uncentered reduction through a range-valued fn: no preimage of a
+// disjoint target partition exists for it (Rule 1 takes point fns only), so
+// the Section 5.1 attempt to demand a disjoint target fails, the plain
+// system is solved next, and the reduction is buffered.
+ir::Program rangeScatter(region::World& world) {
   auto& rows = world.addRegion("Rows", 8);
   world.addRegion("Cols", 17).addField("acc", region::FieldType::F64);
   rows.addField("span", region::FieldType::Range);
@@ -178,11 +175,25 @@ TEST(ProofEmission, FallbackSolveWritesOnlyTheDecidingTrail) {
   b.reduce("Cols", "acc", "k", "x");
   b.endInner();
   prog.loops.push_back(b.build());
+  return prog;
+}
 
+parallelize::Options fallbackOptions(std::string proofFile) {
   parallelize::Options opts;
   opts.enableRelaxation = false;
   opts.pieces = 4;
-  opts.proofFile = ::testing::TempDir() + "proof_fallback.dprf";
+  opts.proofFile = std::move(proofFile);
+  return opts;
+}
+
+// Each solve starts the certificate afresh, so a compile whose
+// disjoint-reduction attempt fails holds one model and one trail — the
+// plain system's — and none of the failed attempt.
+TEST(ProofEmission, FallbackSolveWritesOnlyTheDecidingTrail) {
+  region::World world;
+  const ir::Program prog = rangeScatter(world);
+  const parallelize::Options opts =
+      fallbackOptions(::testing::TempDir() + "proof_fallback.dprf");
   const parallelize::ParallelPlan plan =
       parallelize::AutoParallelizer(world, opts).plan(prog);
   ASSERT_EQ(plan.loops.size(), 1u);
@@ -196,6 +207,29 @@ TEST(ProofEmission, FallbackSolveWritesOnlyTheDecidingTrail) {
   EXPECT_EQ(countLinesStarting(lines, "begin search"), 1u);
   EXPECT_EQ(countLinesStarting(lines, "solution"), 1u);
   EXPECT_EQ(countLinesStarting(lines, "infeasible"), 0u);
+}
+
+// The search counters, unlike the certificate, cover every solve of the
+// compile: the failed attempt's branches and backtracks add to the plain
+// solve's. Without the attempt (enableDisjointReduction off) the compile
+// solves only the plain system, with the same search.
+TEST(ProofEmission, FallbackCountersCoverTheFailedAttempt) {
+  region::World world;
+  const ir::Program prog = rangeScatter(world);
+  const constraint::SolveStats both =
+      parallelize::AutoParallelizer(world, fallbackOptions(""))
+          .plan(prog)
+          .stats.solve;
+  parallelize::Options plainOnly = fallbackOptions("");
+  plainOnly.enableDisjointReduction = false;
+  const constraint::SolveStats plain =
+      parallelize::AutoParallelizer(world, plainOnly).plan(prog).stats.solve;
+
+  EXPECT_EQ(plain.branches, 2u);
+  EXPECT_EQ(plain.backtracks, 0u);
+  // The attempt: 5 branches, all 5 backtracked.
+  EXPECT_EQ(both.branches, plain.branches + 5u);
+  EXPECT_EQ(both.backtracks, plain.backtracks + 5u);
 }
 
 // FNV-1a-64 of a file's bytes.

@@ -174,6 +174,62 @@ TEST(ReduceStrategies, BufferedFallbackWithoutOptimizations) {
   }
 }
 
+// The Section 5.1 fallback end to end: an uncentered reduction through a
+// range-valued fn admits no disjoint target partition (Rule 1 takes point
+// fns only), so the disjoint-reduction attempt fails and the plain system
+// is solved next. The resulting plan must still run legally and match the
+// serial oracle. Integer-valued inputs keep the buffered sums exact, so the
+// comparison is bitwise.
+TEST(ReduceStrategies, FallbackAfterFailedDisjointAttemptMatchesSerial) {
+  auto makeWorld = [](World& w) {
+    auto& rows = w.addRegion("Rows", 8);
+    w.addRegion("Cols", 17).addField("acc", FieldType::F64);
+    rows.addField("span", FieldType::Range);
+    rows.addField("val", FieldType::F64);
+    w.defineRangeFn("Rows", "span", "Cols");
+    auto span = rows.range("span");
+    auto val = rows.f64("val");
+    for (Index r = 0; r < 8; ++r) {
+      // Overlapping spans of three columns.
+      span[static_cast<std::size_t>(r)] = region::Run{2 * r, 2 * r + 3};
+      val[static_cast<std::size_t>(r)] = double(r + 1);
+    }
+  };
+  ir::Program prog;
+  ir::LoopBuilder b("scatter", "i", "Rows");
+  b.loadF64("x", "Rows", "val", "i");
+  b.loadRange("rg", "Rows", "span", "i");
+  b.beginInner("k", "rg");
+  b.reduce("Cols", "acc", "k", "x");
+  b.endInner();
+  prog.loops.push_back(b.build());
+
+  World serial;
+  makeWorld(serial);
+  ir::runSerial(serial, prog);
+
+  World parallel;
+  makeWorld(parallel);
+  parallelize::Options options;
+  options.enableRelaxation = false;
+  options.pieces = 4;
+  const parallelize::ParallelPlan plan =
+      parallelize::AutoParallelizer(parallel, options).plan(prog);
+  ASSERT_EQ(plan.loops.size(), 1u);
+  ASSERT_FALSE(plan.loops[0].reduces.empty());
+  for (const auto& [_, rp] : plan.loops[0].reduces) {
+    EXPECT_NE(rp.strategy, ReduceStrategy::Direct)
+        << "the disjoint-reduction attempt was expected to fail";
+  }
+  runtime::ExecOptions opts;
+  opts.validateAccesses = true;
+  opts.verifyPartitions = true;
+  runtime::PlanExecutor exec(parallel, plan, 4, opts);
+  exec.run();
+  EXPECT_GT(exec.bufferedElements(), 0u);
+  expectFieldsBitwiseEqual(serial, parallel);
+}
+
 TEST(ReduceStrategies, OwnershipGuardsApplyDuplicatedCenteredWritesOnce) {
   // A centered store and a centered reduce planned against an external pR
   // that is asserted complete but not disjoint, then bound to overlapping
