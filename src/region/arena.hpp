@@ -6,18 +6,18 @@
 
 namespace dpart::region {
 
-/// Per-thread scratch buffers for the per-subregion fan-out in the DPL
-/// kernels (image/preimage/zip). Each worker reuses one arena across all the
-/// pieces it processes, so the hot loops stop allocating a fresh run/value
-/// vector per piece; the accumulated runs are handed to
-/// IndexSet::fromRuns(std::span) which never takes ownership.
+/// Per-thread scratch for the per-subregion fan-out in the DPL kernels
+/// (image and preimage). Each worker reuses one arena across all the pieces
+/// it processes: the fn values of a source run land in `indexVals` /
+/// `runVals`, and image feeds them to `builder`, whose runs, chunk
+/// directory and chunk bitmaps keep their capacity across build() calls.
 ///
-/// Buffers only grow (vector::clear keeps capacity), which is exactly the
-/// behaviour we want: after the first few pieces the arena is sized for the
-/// largest piece and the fan-out becomes allocation-free.
+/// Buffers only grow (clear() keeps capacity), so after the first few
+/// pieces the arena is sized for the largest piece and the fan-out stops
+/// allocating scratch.
 struct ScratchArena {
-  std::vector<Run> runs;       // primary run accumulator
-  std::vector<Run> runVals;    // batch-fn range results
+  IndexSetBuilder builder;       // image's accumulator
+  std::vector<Run> runVals;      // batch-fn range results
   std::vector<Index> indexVals;  // batch-fn point results
 
   /// The calling thread's arena. Thread-local, so pool workers and the

@@ -1,9 +1,11 @@
 #include "region/dpl_ops.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "region/arena.hpp"
+#include "region/owner_table.hpp"
 #include "support/check.hpp"
 #include "support/thread_pool.hpp"
 
@@ -11,19 +13,38 @@ namespace dpart::region {
 
 namespace {
 
-// Interval index over the runs of a partition, for answering "which
-// subregions contain index v / overlap run [a,b)" without a full scan.
-// Immutable after construction, so the sharded preimage scan shares one
-// instance across workers.
+// Interval index over the runs of a partition, for range-valued preimage:
+// "which subregions overlap run [a,b)" without a scan. Immutable after
+// construction, so the sharded preimage scan shares one instance across
+// workers.
 class RunIndex {
  public:
   explicit RunIndex(const Partition& p) {
+    std::vector<std::size_t> bounds{0};
     for (std::size_t j = 0; j < p.count(); ++j) {
       for (const Run& r : p.sub(j).runs()) entries_.push_back({r, j});
+      bounds.push_back(entries_.size());
     }
-    std::sort(entries_.begin(), entries_.end(),
-              [](const Entry& a, const Entry& b) { return a.run.lo < b.run.lo; });
-    // maxHiPrefix_[i] = max hi over entries_[0..i]; lets point queries stop
+    // Each subregion's runs already ascend: merging the lists pairwise
+    // orders all entries by lo in O(runs * log(pieces)).
+    const auto byLo = [](const Entry& a, const Entry& b) {
+      return a.run.lo < b.run.lo;
+    };
+    std::vector<Entry> merged(entries_.size());
+    const std::size_t n = p.count();
+    for (std::size_t width = 1; width < n; width *= 2) {
+      const auto at = [&](std::size_t list) {
+        return static_cast<std::ptrdiff_t>(bounds[std::min(list, n)]);
+      };
+      for (std::size_t b = 0; b < n; b += 2 * width) {
+        std::merge(entries_.begin() + at(b), entries_.begin() + at(b + width),
+                   entries_.begin() + at(b + width),
+                   entries_.begin() + at(b + 2 * width),
+                   merged.begin() + at(b), byLo);
+      }
+      entries_.swap(merged);
+    }
+    // maxHiPrefix_[i] = max hi over entries_[0..i]; lets queries stop
     // walking left as soon as no earlier run can still reach the query.
     maxHiPrefix_.resize(entries_.size());
     Index maxHi = 0;
@@ -34,8 +55,7 @@ class RunIndex {
   }
 
   // Calls visit(j) for each subregion j whose index set intersects [a, b).
-  // A subregion is reported once per overlapping run; callers dedup via
-  // set-builders, which tolerate duplicates.
+  // A subregion is reported once per overlapping run.
   template <typename Visit>
   void forOverlaps(Index a, Index b, Visit&& visit) const {
     if (entries_.empty() || b <= a) return;
@@ -149,19 +169,15 @@ Partition imagePartition(const World& world, const Partition& src,
   std::vector<IndexSet> subs(src.count());
   forSubtasks(pool, src.count(), [&](std::size_t j) {
     ScratchArena& arena = ScratchArena::local();
-    std::vector<Run>& out = arena.runs;
-    out.clear();
-    out.reserve(static_cast<std::size_t>(
-        std::min<Index>(src.sub(j).size(), targetSize)));
+    IndexSetBuilder& out = arena.builder;
+    out.clear();  // a throwing fn can leave an earlier piece unfinished
     if (f.isRangeValued()) {
       std::vector<Run>& vals = arena.runVals;
       for (const Run& r : src.sub(j).runs()) {
         vals.resize(static_cast<std::size_t>(r.size()));
         fn.ranges(r, vals);
-        for (Run v : vals) {
-          v.lo = std::max<Index>(v.lo, 0);
-          v.hi = std::min(v.hi, targetSize);
-          if (v.hi > v.lo) out.push_back(v);
+        for (const Run& v : vals) {
+          out.addRun(std::max<Index>(v.lo, 0), std::min(v.hi, targetSize));
         }
       }
     } else {
@@ -170,19 +186,11 @@ Partition imagePartition(const World& world, const Partition& src,
         vals.resize(static_cast<std::size_t>(r.size()));
         fn.points(r, vals);
         for (const Index v : vals) {
-          if (v < 0 || v >= targetSize) continue;
-          // Tail-extension keeps monotone maps (identity, affine shifts, CSR
-          // pointer fields) from emitting one run per element ahead of the
-          // final sort+coalesce.
-          if (!out.empty() && v >= out.back().lo && v <= out.back().hi) {
-            out.back().hi = std::max(out.back().hi, v + 1);
-          } else {
-            out.push_back(Run{v, v + 1});
-          }
+          if (v >= 0 && v < targetSize) out.add(v);
         }
       }
     }
-    subs[j] = IndexSet::fromRuns(std::span<const Run>(out));
+    subs[j] = out.build();
   });
   return Partition(targetRegion, std::move(subs));
 }
@@ -194,7 +202,15 @@ Partition preimagePartition(const World& world,
   const FnDef& f = world.fn(fnId);
   const BatchFn fn(world, f);
   const Index targetSize = world.region(targetRegion).size();
-  const RunIndex lookup(src);
+  // A point value is looked up in the source's owner table (O(k) for an
+  // element held by k subregions); a range value queries the run index.
+  std::optional<OwnerTable> owners;
+  std::optional<RunIndex> overlaps;
+  if (f.isRangeValued()) {
+    overlaps.emplace(src);
+  } else {
+    owners.emplace(src, /*firstClaim=*/false);
+  }
 
   // Shard the target scan. Oversubscribing the pool keeps workers busy when
   // owners cluster in one part of the target (e.g. the shared-node prefix of
@@ -216,6 +232,15 @@ Partition preimagePartition(const World& world,
     const Index lo = targetSize * static_cast<Index>(s) / nShards;
     const Index hi = targetSize * (static_cast<Index>(s) + 1) / nShards;
     auto& runs = shardRuns[s];
+    Index k = 0;
+    const auto record = [&](std::size_t owner) {
+      auto& rs = runs[owner];
+      if (!rs.empty() && rs.back().hi == k) {
+        ++rs.back().hi;  // extend the contiguous tail
+      } else if (rs.empty() || rs.back().hi < k) {
+        rs.push_back(Run{k, k + 1});
+      }  // else: k already recorded (owner had several overlapping runs)
+    };
     constexpr Index kChunk = 4096;  // bounds scratch, amortizes batch setup
     ScratchArena& arena = ScratchArena::local();
     std::vector<Index>& pvals = arena.indexVals;
@@ -223,56 +248,34 @@ Partition preimagePartition(const World& world,
     for (Index base = lo; base < hi; base += kChunk) {
       const Run chunk{base, std::min(base + kChunk, hi)};
       const auto n = static_cast<std::size_t>(chunk.size());
-      if (f.isRangeValued()) {
+      if (overlaps) {
         rvals.resize(n);
         fn.ranges(chunk, rvals);
+        for (k = chunk.lo; k < chunk.hi; ++k) {
+          const Run& v = rvals[static_cast<std::size_t>(k - chunk.lo)];
+          overlaps->forOverlaps(v.lo, v.hi, record);
+        }
       } else {
         pvals.resize(n);
         fn.points(chunk, pvals);
-      }
-      for (Index k = chunk.lo; k < chunk.hi; ++k) {
-        const auto i = static_cast<std::size_t>(k - chunk.lo);
-        Index a = 0;
-        Index b = 0;
-        if (f.isRangeValued()) {
-          a = rvals[i].lo;
-          b = rvals[i].hi;
-        } else {
-          a = pvals[i];
-          b = a + 1;
+        for (k = chunk.lo; k < chunk.hi; ++k) {
+          owners->forOwners(pvals[static_cast<std::size_t>(k - chunk.lo)],
+                            record);
         }
-        lookup.forOverlaps(a, b, [&](std::size_t owner) {
-          auto& rs = runs[owner];
-          if (!rs.empty() && rs.back().hi == k) {
-            ++rs.back().hi;  // extend the contiguous tail
-          } else if (rs.empty() || rs.back().hi <= k) {
-            rs.push_back(Run{k, k + 1});
-          }  // else: k already recorded (owner had several overlapping runs)
-        });
       }
     }
   });
 
-  // Merge step: per owner, concatenate the shard-local runs and coalesce
-  // across shard boundaries.
+  // Merge step: per owner, the shard-local runs in shard order, coalesced
+  // across shard boundaries by the (ascending, so bitmap-free) builder.
   std::vector<IndexSet> subs(src.count());
   forSubtasks(pool, src.count(), [&](std::size_t j) {
-    std::size_t total = 0;
-    for (std::size_t s = 0; s < shards; ++s) total += shardRuns[s][j].size();
-    ScratchArena& arena = ScratchArena::local();
-    std::vector<Run>& merged = arena.runs;
+    IndexSetBuilder& merged = ScratchArena::local().builder;
     merged.clear();
-    merged.reserve(total);
     for (std::size_t s = 0; s < shards; ++s) {
-      for (const Run& r : shardRuns[s][j]) {
-        if (!merged.empty() && merged.back().hi == r.lo) {
-          merged.back().hi = r.hi;
-        } else {
-          merged.push_back(r);
-        }
-      }
+      for (const Run& r : shardRuns[s][j]) merged.addRun(r.lo, r.hi);
     }
-    subs[j] = IndexSet::fromRuns(std::span<const Run>(merged));
+    subs[j] = merged.build();
   });
   return Partition(targetRegion, std::move(subs));
 }

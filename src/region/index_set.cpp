@@ -16,6 +16,7 @@ namespace dpart::region {
 namespace {
 
 using detail::Chunk;
+using detail::chunkIdOf;
 using detail::kChunkBits;
 using detail::kChunkWords;
 using detail::kRunCrossover;
@@ -41,11 +42,6 @@ struct StatTally {
     }
   }
 };
-
-/// Floor-division chunk id (indices may be negative in intermediate sets).
-inline Index chunkIdOf(Index i) {
-  return i >= 0 ? i / kChunkBits : -(((-i) + kChunkBits - 1) / kChunkBits);
-}
 
 inline Index chunkBase(Index id) { return id * kChunkBits; }
 
@@ -242,29 +238,6 @@ bool isCanonicalRuns(std::span<const Run> runs) {
     prevHi = r.hi;
   }
   return true;
-}
-
-/// In-place sort+coalesce into the canonical run form (sorted, disjoint,
-/// non-adjacent, all non-empty).
-void canonicalizeRuns(std::vector<Run>& runs) {
-  std::sort(runs.begin(), runs.end(),
-            [](const Run& a, const Run& b) { return a.lo < b.lo; });
-  std::size_t n = 0;
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const Run r = runs[i];
-    if (r.hi <= r.lo) continue;
-    if (n > 0 && r.lo <= runs[n - 1].hi) {
-      runs[n - 1].hi = std::max(runs[n - 1].hi, r.hi);
-    } else {
-      runs[n++] = r;
-    }
-  }
-  runs.resize(n);
-}
-
-std::vector<Run>& tlsSortBuf() {
-  static thread_local std::vector<Run> buf;
-  return buf;
 }
 
 std::vector<Run>& tlsChunkBuf() {
@@ -505,36 +478,16 @@ IndexSet IndexSet::interval(Index lo, Index hi) {
 }
 
 IndexSet IndexSet::fromIndices(std::vector<Index> indices) {
-  std::sort(indices.begin(), indices.end());
-  auto& buf = tlsSortBuf();
-  buf.clear();
-  buf.reserve(indices.size());
-  for (Index i : indices) {
-    if (!buf.empty() && i < buf.back().hi) continue;  // duplicate
-    if (!buf.empty() && i == buf.back().hi) {
-      ++buf.back().hi;
-    } else {
-      buf.push_back(Run{i, i + 1});
-    }
-  }
-  return assembleFromCanonical(buf);
+  IndexSetBuilder b;
+  for (const Index i : indices) b.add(i);
+  return b.build();
 }
 
 IndexSet IndexSet::fromRuns(std::vector<Run> runs) {
   if (isCanonicalRuns(runs)) return assembleFromCanonical(runs);
-  canonicalizeRuns(runs);
-  return assembleFromCanonical(runs);
-}
-
-IndexSet IndexSet::fromRuns(std::span<const Run> runs) {
-  // Monotone producers (the dpl_ops kernels coalesce as they emit) hand us
-  // already-canonical runs; assembling straight off the caller's buffer
-  // skips the copy and the sort-of-sorted pass.
-  if (isCanonicalRuns(runs)) return assembleFromCanonical(runs);
-  auto& buf = tlsSortBuf();
-  buf.assign(runs.begin(), runs.end());
-  canonicalizeRuns(buf);
-  return assembleFromCanonical(buf);
+  IndexSetBuilder b;
+  for (const Run& r : runs) b.addRun(r.lo, r.hi);
+  return b.build();
 }
 
 IndexSet::IndexSet(std::initializer_list<Index> indices)
@@ -880,23 +833,114 @@ std::ostream& operator<<(std::ostream& os, const IndexSet& set) {
   return os;
 }
 
-void IndexSetBuilder::add(Index i) { addRun(i, i + 1); }
+// ---- IndexSetBuilder ----
 
-void IndexSetBuilder::addRun(Index lo, Index hi) {
-  if (hi <= lo) return;
-  if (sorted_ && !runs_.empty() && lo < runs_.back().lo) sorted_ = false;
-  if (sorted_ && !runs_.empty() && lo <= runs_.back().hi) {
-    runs_.back().hi = std::max(runs_.back().hi, hi);
-  } else {
-    runs_.push_back(Run{lo, hi});
+void IndexSetBuilder::startScatter() {
+  cache_.assign(kCacheSize, Touched{kNoChunk, 0});
+  scatter_ = true;
+  for (const Run& r : runs_) scatterRun(r.lo, r.hi);
+  runs_.clear();
+}
+
+void IndexSetBuilder::scatterRun(Index lo, Index hi) {
+  const Index firstId = chunkIdOf(lo);
+  const Index lastId = chunkIdOf(hi - 1);
+  Index fullFrom = firstId;
+  Index fullTo = lastId;
+  // A partial head chunk (which may also be the tail).
+  const Index headEnd = chunkBase(firstId) + kChunkBits;
+  if (lo != chunkBase(firstId) || hi < headEnd) {
+    const std::uint32_t slot = entry(firstId).slot;
+    if (slot != kFull) {
+      setBitRange(words_.data() + slot * kChunkWords, lo - chunkBase(firstId),
+                  std::min(hi, headEnd) - chunkBase(firstId));
+    }
+    ++fullFrom;
+  }
+  // A partial tail chunk.
+  if (fullFrom <= lastId && hi != chunkBase(lastId) + kChunkBits) {
+    const std::uint32_t slot = entry(lastId).slot;
+    if (slot != kFull) {
+      setBitRange(words_.data() + slot * kChunkWords, 0,
+                  hi - chunkBase(lastId));
+    }
+    --fullTo;
+  }
+  if (fullFrom <= fullTo) markFull(fullFrom, fullTo);
+}
+
+IndexSetBuilder::Touched IndexSetBuilder::findOrAdd(Index id) {
+  const auto it =
+      std::lower_bound(touched_.begin(), touched_.end(), id,
+                       [](const Touched& t, Index v) { return t.id < v; });
+  if (it != touched_.end() && it->id == id) return *it;
+  // The bitmap exists before the directory names it, so a throwing insert
+  // leaves no entry past the end of words_.
+  const Touched added{id,
+                      static_cast<std::uint32_t>(words_.size() / kChunkWords)};
+  words_.resize(words_.size() + kChunkWords);  // a zeroed bitmap
+  touched_.insert(it, added);
+  return added;
+}
+
+void IndexSetBuilder::markFull(Index first, Index last) {
+  const auto byId = [](const Touched& t, Index v) { return t.id < v; };
+  const auto p = static_cast<std::size_t>(
+      std::lower_bound(touched_.begin(), touched_.end(), first, byId) -
+      touched_.begin());
+  const auto q = static_cast<std::size_t>(
+      std::lower_bound(touched_.begin() + static_cast<std::ptrdiff_t>(p),
+                       touched_.end(), last + 1, byId) -
+      touched_.begin());
+  // touched_[p, q) are the chunks of [first, last] seen so far; one splice
+  // makes room for the others, so a long run costs O(1) per chunk.
+  const auto n = static_cast<std::size_t>(last - first + 1);
+  touched_.insert(touched_.begin() + static_cast<std::ptrdiff_t>(q),
+                  n - (q - p), Touched{});
+  for (std::size_t k = 0; k < n; ++k) {
+    touched_[p + k] = Touched{first + static_cast<Index>(k), kFull};
+  }
+  // The cache entries of [first, last]: every entry once the range wraps.
+  for (std::size_t k = 0; k < std::min(n, kCacheSize); ++k) {
+    const Index id = first + static_cast<Index>(k);
+    cache_[static_cast<std::size_t>(id) & (kCacheSize - 1)] =
+        Touched{id, kFull};
   }
 }
 
 IndexSet IndexSetBuilder::build() {
-  IndexSet result = IndexSet::fromRuns(std::move(runs_));
+  IndexSet out;
+  if (!scatter_) {
+    out = assembleFromCanonical(runs_);
+  } else {
+    detail::Assembler as;
+    as.reserveChunks(touched_.size());
+    for (const Touched& t : touched_) {
+      if (t.slot == kFull) {
+        const Run full{chunkBase(t.id), chunkBase(t.id) + kChunkBits};
+        as.addRunChunk(t.id, &full, 1);
+      } else {
+        as.addWordChunk(t.id, words_.data() + static_cast<std::size_t>(
+                                                  t.slot) * kChunkWords);
+      }
+    }
+    out = as.finish();
+  }
+  clear();
+  return out;
+}
+
+void IndexSetBuilder::clear() {
   runs_.clear();
-  sorted_ = true;
-  return result;
+  scatter_ = false;
+  touched_.clear();
+  words_.clear();
+}
+
+std::size_t IndexSetBuilder::scratchBytes() const {
+  return runs_.capacity() * sizeof(Run) +
+         (touched_.capacity() + cache_.capacity()) * sizeof(Touched) +
+         words_.capacity() * sizeof(std::uint64_t);
 }
 
 }  // namespace dpart::region

@@ -1,10 +1,12 @@
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
 #include <iosfwd>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -52,6 +54,11 @@ struct Chunk {
   friend bool operator==(const Chunk&, const Chunk&) = default;
 };
 
+/// Floor-division chunk id (indices may be negative in intermediate sets).
+inline Index chunkIdOf(Index i) {
+  return i >= 0 ? i / kChunkBits : -(((-i) + kChunkBits - 1) / kChunkBits);
+}
+
 struct Assembler;
 
 }  // namespace detail
@@ -87,12 +94,10 @@ class IndexSet {
   /// Builds a set from arbitrary (possibly unsorted, duplicated) indices.
   static IndexSet fromIndices(std::vector<Index> indices);
 
+  /// Builds a set from arbitrary (possibly unsorted, overlapping or empty)
+  /// runs. Canonical input is assembled as it is; anything else goes
+  /// through IndexSetBuilder, so an untrusted stream is renormalized.
   static IndexSet fromRuns(std::vector<Run> runs);
-
-  /// As fromRuns(vector), but borrowing the caller's buffer (the kernels
-  /// pass per-thread arena scratch, so the per-piece fan-out allocates no
-  /// transient run vectors).
-  static IndexSet fromRuns(std::span<const Run> runs);
 
   IndexSet(std::initializer_list<Index> indices);
 
@@ -194,25 +199,118 @@ class IndexSet {
 
 std::ostream& operator<<(std::ostream& os, const IndexSet& set);
 
-/// Accumulates indices one at a time and coalesces them into an IndexSet.
-/// Appending in ascending order is O(1) amortized; arbitrary order falls back
-/// to a sort at build() time.
+/// Accumulates indices and runs in any order and builds their union as an
+/// IndexSet, without sorting. Ascending input coalesces into runs, and a
+/// monotone producer (identity, affine shift, CSR rows) pays for no bitmap.
+/// The first run that starts below the previous one switches the builder to
+/// scatter mode: every run so far and every later one sets bits in a
+/// 4096-bit scratch bitmap per chunk it touches (a word at a time; a chunk
+/// covered whole is only marked full), and build() assembles the canonical
+/// containers from those chunks in ascending order. The chunk directory is
+/// kept sorted on insert, as Roaring keeps its key array, and read through
+/// a 256-entry direct-mapped cache of its entries. A value whose chunk is
+/// cached costs O(1); any other costs a binary search of the directory, and
+/// a chunk's first touch an insert that moves the entries above it. So
+/// scatter mode costs O(elements + chunks^2): negligible beyond the
+/// elements while at most 256 chunks are in play (a 2^20-index target).
+/// Spread wider, cache collisions add a binary search each, and chunks
+/// first touched in random order pay the chunks^2 term in full. The scratch
+/// is bounded by the chunks touched, never by the span of the input.
+///
+/// build() and clear() leave the builder empty but keep its capacity, so one
+/// builder can serve many sets (the DPL kernels keep one per thread in
+/// ScratchArena and clear it at the start of each set, since a throwing fn
+/// can leave a set unfinished).
 class IndexSetBuilder {
  public:
-  /// Pre-sizes the pending-run buffer — callers that know the run count of
-  /// their input (e.g. Partition construction from existing subregions)
-  /// avoid the growth reallocations in the fan-out loops.
+  /// Pre-sizes the ascending run buffer: callers that know the run count of
+  /// their input (e.g. the union of a partition's subregions) avoid growth
+  /// reallocations.
   void reserve(std::size_t runs) { runs_.reserve(runs); }
 
-  void add(Index i);
-  void addRun(Index lo, Index hi);
+  void add(Index i) {
+    if (!scatter_) {
+      if (runs_.empty() || i > runs_.back().hi) {
+        runs_.push_back(Run{i, i + 1});
+        return;
+      }
+      Run& last = runs_.back();
+      if (i >= last.lo) {
+        if (i == last.hi) ++last.hi;
+        return;
+      }
+      startScatter();
+    }
+    setBit(i);
+  }
 
-  /// Consumes the builder.
+  void addRun(Index lo, Index hi) {
+    if (hi <= lo) return;
+    if (!scatter_) {
+      if (runs_.empty() || lo > runs_.back().hi) {
+        runs_.push_back(Run{lo, hi});
+        return;
+      }
+      Run& last = runs_.back();
+      if (lo >= last.lo) {
+        last.hi = std::max(last.hi, hi);
+        return;
+      }
+      startScatter();
+    }
+    scatterRun(lo, hi);
+  }
+
+  /// The set of everything added since the last build() or clear();
+  /// empties the builder.
   [[nodiscard]] IndexSet build();
 
+  /// Drops everything added since the last build() or clear().
+  void clear();
+
+  /// Bytes of scratch capacity the builder holds (runs, chunk directory and
+  /// bitmaps), kept across build() calls.
+  [[nodiscard]] std::size_t scratchBytes() const;
+
  private:
-  std::vector<Run> runs_;  // coalesced on the fly while input stays sorted
-  bool sorted_ = true;
+  /// A touched chunk in scatter mode: its bitmap's slot in words_, or kFull.
+  struct Touched {
+    Index id = 0;
+    std::uint32_t slot = 0;
+  };
+  static constexpr std::uint32_t kFull = ~std::uint32_t{0};
+  static constexpr Index kNoChunk = std::numeric_limits<Index>::min();
+  static constexpr std::size_t kCacheSize = 256;  // a power of two
+
+  /// Chunk `id`'s directory entry, through the cache.
+  Touched entry(Index id) {
+    Touched& cached = cache_[static_cast<std::size_t>(id) & (kCacheSize - 1)];
+    if (cached.id != id) cached = findOrAdd(id);
+    return cached;
+  }
+
+  void setBit(Index i) {
+    const Index id = detail::chunkIdOf(i);
+    const std::uint32_t slot = entry(id).slot;
+    if (slot != kFull) {
+      const auto bit = static_cast<std::size_t>(i - id * detail::kChunkBits);
+      words_[slot * detail::kChunkWords + bit / 64] |= std::uint64_t{1}
+                                                       << (bit % 64);
+    }
+  }
+
+  void startScatter();
+  void scatterRun(Index lo, Index hi);
+  /// Chunk `id`'s directory entry, adding a zeroed bitmap for a new chunk.
+  Touched findOrAdd(Index id);
+  /// Marks chunks [first, last] full, dropping any bitmap they had.
+  void markFull(Index first, Index last);
+
+  std::vector<Run> runs_;  // ascending mode: canonical runs so far
+  bool scatter_ = false;
+  std::vector<Touched> touched_;      // scatter mode: ascending by id
+  std::vector<Touched> cache_;        // scatter mode: by id % kCacheSize
+  std::vector<std::uint64_t> words_;  // scatter mode: kChunkWords per slot
 };
 
 }  // namespace dpart::region

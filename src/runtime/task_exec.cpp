@@ -78,33 +78,8 @@ void applySlice(region::World& world, const FieldSlice& slice) {
   });
 }
 
-OwnerTable::OwnerTable(const Partition& partition, bool firstClaim)
-    : partition_(&partition) {
-  Index extent = 0;
-  for (const IndexSet& sub : partition.subregions()) {
-    if (sub.empty()) continue;
-    DPART_CHECK(sub.lowerBound() >= 0, "negative index in partition of " +
-                                           partition.regionName());
-    extent = std::max(extent, sub.upperBound());
-  }
-  owner_.assign(static_cast<std::size_t>(extent), kNone);
-  for (std::size_t j = 0; j < partition.count(); ++j) {
-    const auto piece = static_cast<std::int32_t>(j);
-    for (const region::Run& r : partition.sub(j).runs()) {
-      for (Index i = r.lo; i < r.hi; ++i) {
-        std::int32_t& o = owner_[static_cast<std::size_t>(i)];
-        if (o == kNone) {
-          o = piece;
-        } else if (!firstClaim) {
-          o = kShared;
-        }
-      }
-    }
-  }
-}
-
-const OwnerTable& KernelCache::owners(const std::string& symbol,
-                                      bool firstClaim) {
+const region::OwnerTable& KernelCache::owners(const std::string& symbol,
+                                              bool firstClaim) {
   return tables_
       .try_emplace(std::make_pair(symbol, firstClaim), env_.at(symbol),
                    firstClaim)

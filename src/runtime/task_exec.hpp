@@ -15,6 +15,7 @@
 
 #include "ir/ir.hpp"
 #include "parallelize/parallelize.hpp"
+#include "region/owner_table.hpp"
 #include "region/partition.hpp"
 #include "region/world.hpp"
 #include "runtime/options.hpp"
@@ -84,36 +85,6 @@ class OwnershipGuards {
 
  private:
   std::vector<region::IndexSet> owned_;
-};
-
-/// One piece id per element of a region: the membership table a task
-/// kernel's guarded, private-split and owned writes read, built once per
-/// prepare epoch from a partition.
-class OwnerTable {
- public:
-  /// With `firstClaim`, an element in several subregions belongs to the
-  /// lowest-numbered one: the ownership rule for aliased iteration
-  /// partitions. Otherwise such an element is marked shared and tested
-  /// against the subregions themselves, so the table answers exactly what
-  /// IndexSet::contains would even for a partition that breaks the plan's
-  /// disjointness (guard and private partitions are disjoint in a valid
-  /// plan, so their tables hold no shared element).
-  OwnerTable(const region::Partition& partition, bool firstClaim);
-
-  /// Whether piece `piece` owns element i.
-  [[nodiscard]] bool owns(std::size_t piece, region::Index i) const {
-    if (static_cast<std::uint64_t>(i) >= owner_.size()) return false;
-    const std::int32_t o = owner_[static_cast<std::size_t>(i)];
-    if (o >= 0) return static_cast<std::size_t>(o) == piece;
-    return o == kShared && partition_->sub(piece).contains(i);
-  }
-
- private:
-  static constexpr std::int32_t kNone = -1;
-  static constexpr std::int32_t kShared = -2;
-
-  const region::Partition* partition_;
-  std::vector<std::int32_t> owner_;
 };
 
 /// How a task kernel applies one store or reduce: the plan's Section 5
@@ -204,8 +175,9 @@ class TaskKernel {
     double* f64 = nullptr;
     const region::Index* idxColumn = nullptr;
     const region::Run* runColumn = nullptr;
-    const OwnerTable* owners = nullptr;  // Owned / Guarded / PrivateSplit
-    std::optional<region::BatchFn> fn;   // ApplyFn
+    // Owned / Guarded / PrivateSplit
+    const region::OwnerTable* owners = nullptr;
+    std::optional<region::BatchFn> fn;  // ApplyFn
     const ir::Stmt* stmt = nullptr;
     std::vector<int> args;  // Compute: double slots
     std::vector<Op> body;   // Inner
@@ -237,7 +209,7 @@ class TaskKernel {
   const std::map<std::string, region::Partition>& env_;
   bool validate_;
   OwnershipGuards guards_;
-  const OwnerTable* ownerTable_ = nullptr;  // set when guards_ are
+  const region::OwnerTable* ownerTable_ = nullptr;  // set when guards_ are
   /// Variable name -> (type, slot), filled while compiling; slot counts
   /// per type.
   std::map<std::string, std::pair<Type, int>> vars_;
@@ -299,13 +271,13 @@ class KernelCache {
   friend class TaskKernel;
 
   /// The owner table of partition `symbol`, built on first use.
-  [[nodiscard]] const OwnerTable& owners(const std::string& symbol,
-                                         bool firstClaim);
+  [[nodiscard]] const region::OwnerTable& owners(const std::string& symbol,
+                                                 bool firstClaim);
 
   region::World& world_;
   const std::map<std::string, region::Partition>& env_;
   bool validate_;
-  std::map<std::pair<std::string, bool>, OwnerTable> tables_;
+  std::map<std::pair<std::string, bool>, region::OwnerTable> tables_;
   std::map<const parallelize::PlannedLoop*, std::unique_ptr<TaskKernel>>
       kernels_;
 };

@@ -1,8 +1,9 @@
 // Randomized differential suite for the hybrid (run/bitmap chunked) IndexSet
 // representation: every operation is checked against a naive sorted-vector
 // reference model across sparse, dense, and adversarial input shapes, plus
-// directed cases at the container-switch crossover and snapshot round-trips
-// of both container kinds.
+// directed cases at the container-switch crossover, snapshot round-trips
+// of both container kinds, and IndexSetBuilder's scattered input against
+// directly assembled canonical runs.
 
 #include "region/index_set.hpp"
 
@@ -207,6 +208,160 @@ TEST(IndexSetHybrid, DifferentialAgainstModel) {
     RunVec viaRuns(a.runs().begin(), a.runs().end());
     ASSERT_EQ(IndexSet::fromRuns(std::move(viaRuns)), a);
   }
+}
+
+// ---- IndexSetBuilder: scattered input against canonical assembly ----
+
+/// The test's own canonical form of arbitrary runs: sorted by lo, empty runs
+/// dropped, overlapping and adjacent runs coalesced.
+RunVec canonicalRuns(RunVec runs) {
+  std::sort(runs.begin(), runs.end(),
+            [](const Run& a, const Run& b) { return a.lo < b.lo; });
+  RunVec out;
+  for (const Run& r : runs) {
+    if (r.hi <= r.lo) continue;
+    if (!out.empty() && r.lo <= out.back().hi) {
+      out.back().hi = std::max(out.back().hi, r.hi);
+    } else {
+      out.push_back(r);
+    }
+  }
+  return out;
+}
+
+/// Feeds `runs` to a builder in the given order and checks the result
+/// against the canonical runs assembled directly (IndexSet::fromRuns of
+/// canonical input never reaches the builder).
+void expectBuilderMatchesCanonical(IndexSetBuilder& b, const RunVec& runs) {
+  for (const Run& r : runs) {
+    if (r.size() == 1) {
+      b.add(r.lo);
+    } else {
+      b.addRun(r.lo, r.hi);
+    }
+  }
+  const IndexSet built = b.build();
+  const RunVec canon = canonicalRuns(runs);
+  const IndexSet want = IndexSet::fromRuns(canon);
+  ASSERT_EQ(built, want);
+  ASSERT_EQ(built.runCount(), canon.size());
+  ASSERT_EQ(built.chunkCount(), want.chunkCount());
+  ASSERT_EQ(built.bitmapChunkCount(), want.bitmapChunkCount());
+  Model model;
+  for (const Run& r : canon) {
+    for (Index i = r.lo; i < r.hi; ++i) model.push_back(i);
+  }
+  ASSERT_EQ(built.toVector(), model);
+}
+
+TEST(IndexSetBuilder, ScatteredInputMatchesCanonicalAssembly) {
+  Rng rng(0xb17d);
+  IndexSetBuilder b;  // reused across rounds: build() must reset it fully
+  for (int round = 0; round < 200; ++round) {
+    RunVec runs;
+    const auto n = static_cast<std::size_t>(rng.below(120));
+    for (std::size_t k = 0; k < n; ++k) {
+      // Negative and positive chunks; singletons, short runs, runs ending on
+      // a chunk boundary, and runs covering whole chunks.
+      const Index lo =
+          rng.range(-3 * detail::kChunkBits, 5 * detail::kChunkBits);
+      Index len = 1;
+      switch (rng.below(5)) {
+        case 0:
+          len = 1;
+          break;
+        case 1:
+          len = rng.range(0, 12);
+          break;
+        case 2:
+          len = detail::kChunkBits - (lo - detail::chunkIdOf(lo) *
+                                               detail::kChunkBits);
+          break;
+        case 3:
+          len = rng.range(detail::kChunkBits, 3 * detail::kChunkBits);
+          break;
+        default:
+          len = rng.range(0, 200);
+          break;
+      }
+      runs.push_back(makeRun(lo, lo + len));
+    }
+    if (rng.chance(0.3)) {  // an ascending prefix before the first step back
+      std::sort(runs.begin(), runs.begin() + static_cast<std::ptrdiff_t>(
+                                                 runs.size() / 2),
+                [](const auto& x, const auto& y) { return x.lo < y.lo; });
+    }
+    ASSERT_NO_FATAL_FAILURE(expectBuilderMatchesCanonical(b, runs))
+        << "round " << round;
+  }
+}
+
+TEST(IndexSetBuilder, RunCrossoverInBothDirections) {
+  for (std::uint32_t nruns :
+       {detail::kRunCrossover, detail::kRunCrossover + 1}) {
+    // Descending singletons: scattered into a bitmap, assembled as runs up
+    // to the crossover and as a bitmap past it.
+    RunVec runs = singletons(0, static_cast<Index>(2 * nruns), 2);
+    std::reverse(runs.begin(), runs.end());
+    IndexSetBuilder b;
+    ASSERT_NO_FATAL_FAILURE(expectBuilderMatchesCanonical(b, runs));
+    // Ascending: the run path renders the chunk as a bitmap past it.
+    std::reverse(runs.begin(), runs.end());
+    ASSERT_NO_FATAL_FAILURE(expectBuilderMatchesCanonical(b, runs));
+  }
+  // A scattered chunk that passes the crossover and then fills up again
+  // assembles back into a single run container.
+  RunVec runs = singletons(1, detail::kChunkBits, 2);
+  std::reverse(runs.begin(), runs.end());
+  runs.push_back(makeRun(0, detail::kChunkBits - 7));
+  runs.push_back(makeRun(detail::kChunkBits - 9, detail::kChunkBits));
+  IndexSetBuilder b;
+  for (const auto& r : runs) b.addRun(r.lo, r.hi);
+  const IndexSet full = b.build();
+  EXPECT_EQ(full, IndexSet::interval(0, detail::kChunkBits));
+  EXPECT_EQ(full.bitmapChunkCount(), 0u);
+}
+
+TEST(IndexSetBuilder, NegativeIndicesUseFloorChunkIds) {
+  const RunVec runs = {makeRun(5, 6),
+                       makeRun(-1, 0),
+                       makeRun(-detail::kChunkBits - 1, -detail::kChunkBits),
+                       makeRun(-detail::kChunkBits, -detail::kChunkBits + 3),
+                       makeRun(-2 * detail::kChunkBits,
+                               -detail::kChunkBits - 1),
+                       makeRun(-3, 5)};
+  IndexSetBuilder b;
+  ASSERT_NO_FATAL_FAILURE(expectBuilderMatchesCanonical(b, runs));
+}
+
+TEST(IndexSetBuilder, RunsAdjacentAcrossAChunkBoundaryCoalesce) {
+  const Index edge = 2 * detail::kChunkBits;
+  IndexSetBuilder b;
+  b.addRun(edge, edge + 4);
+  b.addRun(edge - 6, edge);  // steps back: scatter mode
+  b.add(edge - 100);
+  const IndexSet s = b.build();
+  EXPECT_EQ(s.chunkCount(), 2u);
+  EXPECT_EQ(s.runCount(), 2u);
+  ASSERT_EQ(s.runs().size(), 2u);
+  EXPECT_EQ(s.runs()[1], makeRun(edge - 6, edge + 4));
+}
+
+TEST(IndexSetBuilder, RunsCoveringWholeChunksAfterScatter) {
+  IndexSetBuilder b;
+  // Step back first, then a run covering chunks 1..4 whole, with a partial
+  // head in chunk 0 and a partial tail in chunk 5; then bits inside a full
+  // chunk, and a run covering chunk 0 (a bitmap by now) whole.
+  const RunVec runs = {makeRun(90, 91),
+                       makeRun(7, 8),
+                       makeRun(100, 5 * detail::kChunkBits + 7),
+                       makeRun(2 * detail::kChunkBits + 3,
+                               2 * detail::kChunkBits + 5),
+                       makeRun(0, detail::kChunkBits),
+                       makeRun(9 * detail::kChunkBits,
+                               9 * detail::kChunkBits + 1),
+                       makeRun(6 * detail::kChunkBits, 9 * detail::kChunkBits)};
+  ASSERT_NO_FATAL_FAILURE(expectBuilderMatchesCanonical(b, runs));
 }
 
 TEST(IndexSetHybrid, ContainerSwitchBoundary) {

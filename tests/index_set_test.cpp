@@ -6,6 +6,8 @@
 #include <set>
 #include <vector>
 
+#include "region/arena.hpp"
+#include "region/dpl_ops.hpp"
 #include "support/rng.hpp"
 
 namespace dpart::region {
@@ -130,6 +132,82 @@ TEST(IndexSetBuilder, UnsortedInput) {
   b.addRun(3, 6);
   b.add(2);
   EXPECT_EQ(b.build(), IndexSet::fromIndices({1, 2, 3, 4, 5, 9}));
+}
+
+TEST(IndexSetBuilder, DuplicatesAndOverlapsCollapse) {
+  IndexSetBuilder b;
+  b.add(7);
+  b.add(7);
+  b.addRun(3, 9);
+  b.add(4);
+  b.addRun(2, 5);
+  b.add(9);
+  b.add(7);
+  const IndexSet s = b.build();
+  EXPECT_EQ(s, IndexSet::interval(2, 10));
+  EXPECT_EQ(s.runCount(), 1u);
+}
+
+TEST(IndexSetBuilder, ReuseAfterBuildOrClear) {
+  IndexSetBuilder b;
+  b.add(5000);
+  b.add(3);  // steps back: scatter mode
+  EXPECT_EQ(b.build(), IndexSet({3, 5000}));
+  // Nothing of the scattered set survives: an ascending set follows.
+  b.addRun(10, 20);
+  b.add(20);
+  EXPECT_EQ(b.build(), IndexSet::interval(10, 21));
+  // And a scattered one again, touching the chunk used before.
+  b.add(5001);
+  b.add(4);
+  EXPECT_EQ(b.build(), IndexSet({4, 5001}));
+  EXPECT_TRUE(b.build().empty());
+  // clear() drops what is pending in either mode, and a later scatter over
+  // the same chunks starts from empty bitmaps.
+  b.add(9000);
+  b.add(1);
+  b.clear();
+  b.add(9001);
+  b.add(2);
+  EXPECT_EQ(b.build(), IndexSet({2, 9001}));
+  b.addRun(50, 60);
+  b.clear();
+  EXPECT_TRUE(b.build().empty());
+}
+
+// The scatter's scratch is bounded by the chunks touched, not by the span of
+// the input: 1,000 non-monotone points over 2^31 indices touch at most 1,000
+// chunks (512 KiB of bitmaps), where a bitmap over the span would need
+// 256 MiB.
+TEST(IndexSetBuilder, ScratchIsBoundedByTheChunksTouched) {
+  constexpr Index kSpan = Index{1} << 31;
+  constexpr std::size_t kPoints = 1000;
+  constexpr std::size_t kBound = 4u << 20;  // 4 MiB
+  Rng rng(0x5ca7);
+  std::vector<Index> points;
+  for (std::size_t k = 0; k < kPoints; ++k) {
+    points.push_back(rng.range(0, kSpan));
+  }
+  IndexSetBuilder b;
+  for (const Index i : points) b.add(i);
+  const IndexSet s = b.build();
+  EXPECT_LT(b.scratchBytes(), kBound);
+  std::vector<Index> sorted = points;
+  std::sort(sorted.begin(), sorted.end());
+  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  EXPECT_EQ(s.toVector(), sorted);
+
+  // The serial image path feeds the calling thread's arena builder.
+  World world;
+  Region& src = world.addRegion("Src", static_cast<Index>(kPoints));
+  world.addRegion("Dst", kSpan);
+  src.addField("to", FieldType::Idx);
+  std::copy(points.begin(), points.end(), src.idx("to").begin());
+  world.defineFieldFn("Src", "to", "Dst");
+  const Partition image = imagePartition(
+      world, equalPartition(world, "Src", 1), "Src[.].to", "Dst");
+  EXPECT_EQ(image.sub(0).toVector(), sorted);
+  EXPECT_LT(ScratchArena::local().builder.scratchBytes(), kBound);
 }
 
 // ---- Property tests: IndexSet ops agree with std::set reference ----
