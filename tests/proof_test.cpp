@@ -266,14 +266,14 @@ TEST(ProofEmission, SearchTrailsOfTheFiveAppsArePinned) {
   apps::MiniAeroApp miniaero({.nx = 4, .ny = 4, .nzPerPiece = 4,
                               .pieces = 4});
   EXPECT_EQ(certificateHash(miniaero.world(), miniaero.program(), "miniaero"),
-            0xb0b2b116d92d8d7aULL);
+            0x12c17a273fd5e730ULL);
   apps::CircuitApp circuit({.pieces = 4, .nodesPerCluster = 32,
                             .wiresPerCluster = 64});
   EXPECT_EQ(certificateHash(circuit.world(), circuit.program(), "circuit"),
             0x81c7e232fea3cc50ULL);
   apps::PennantApp pennant({.zx = 4, .zyPerPiece = 4, .pieces = 4});
   EXPECT_EQ(certificateHash(pennant.world(), pennant.program(), "pennant"),
-            0x6b5cc82e07284fb8ULL);
+            0xee66eb0195909d65ULL);
 }
 
 // ---- The vocabulary path ---------------------------------------------------

@@ -57,7 +57,7 @@ TEST(SolverDifferential, MiniAero) {
   p.nzPerPiece = 4;
   p.pieces = 2;
   apps::MiniAeroApp app(p);
-  expectPinnedPlan(app.world(), app.program(), 0xfe4d069d445448e0ULL,
+  expectPinnedPlan(app.world(), app.program(), 0xe3d59d66d501f07bULL,
                    "miniaero");
 }
 
@@ -77,7 +77,7 @@ TEST(SolverDifferential, Pennant) {
   p.zyPerPiece = 4;
   p.pieces = 2;
   apps::PennantApp app(p);
-  expectPinnedPlan(app.world(), app.program(), 0xd6fe56d165b2a9b2ULL,
+  expectPinnedPlan(app.world(), app.program(), 0x701b58d1a39de0c7ULL,
                    "pennant");
 }
 
