@@ -103,6 +103,7 @@ Solution Solver::solve(const std::map<std::string, ExprPtr>& initial) {
     if (steps_ >= maxSteps_) {
       out.ok = false;
       out.failure = "search budget exhausted";
+      out.budgetExhausted = true;
       out.conflict = conflict_;
       return out;
     }

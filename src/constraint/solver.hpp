@@ -33,6 +33,9 @@ struct SolverConfig {
 struct Solution {
   bool ok = false;
   std::string failure;  ///< first unprovable conjunct / search exhaustion
+  /// The search stopped on its step budget (Solver::setMaxSteps) before it
+  /// decided the system: `ok` is false and proves nothing.
+  bool budgetExhausted = false;
 
   /// Ground expression synthesized for each open symbol (references only
   /// DPL operators and fixed external symbols).

@@ -383,24 +383,16 @@ constraint::UnifyResult unify(const std::vector<LoopState>& loops,
                               const std::vector<System>& externals,
                               const std::set<std::string>& rangeFns,
                               bool enableUnification) {
-  std::map<std::string, std::string> collapsed;
   std::vector<System> systems;
   systems.reserve(loops.size() + externals.size());
-  for (const LoopState& st : loops) {
-    systems.push_back(st.constraints.system);
-    if (enableUnification) {
-      constraint::collapsePlainEdges(systems.back(), collapsed, rangeFns);
-    }
-  }
+  for (const LoopState& st : loops) systems.push_back(st.constraints.system);
   systems.insert(systems.end(), externals.begin(), externals.end());
-  constraint::UnifyResult out;
   if (enableUnification) {
-    out = constraint::unifySystems(std::move(systems), rangeFns);
-    out.renames.merge(collapsed);  // unification's renames take precedence
-  } else {
-    for (const System& s : systems) out.system.merge(s);
-    out.system = out.system.substituted({});
+    return constraint::unifySystems(std::move(systems), rangeFns);
   }
+  constraint::UnifyResult out;
+  for (const System& s : systems) out.system.merge(s);
+  out.system = out.system.substituted({});
   return out;
 }
 
