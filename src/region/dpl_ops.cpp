@@ -1,6 +1,8 @@
 #include "region/dpl_ops.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -44,30 +46,45 @@ class RunIndex {
       }
       entries_.swap(merged);
     }
-    // maxHiPrefix_[i] = max hi over entries_[0..i]; lets queries stop
-    // walking left as soon as no earlier run can still reach the query.
+    // maxHiPrefix_[i] = max hi over entries_[0..i]: a walk left stops once
+    // no earlier run reaches the query. maxHi_ is a max-hi tree over the
+    // entries (leaf i at leaves_ + i) that skips the runs ending before the
+    // query which one long early run keeps the prefix maximum above.
     maxHiPrefix_.resize(entries_.size());
     Index maxHi = 0;
     for (std::size_t i = 0; i < entries_.size(); ++i) {
       maxHi = std::max(maxHi, entries_[i].run.hi);
       maxHiPrefix_[i] = maxHi;
     }
+    leaves_ = std::bit_ceil(std::max<std::size_t>(entries_.size(), 1));
+    maxHi_.assign(2 * leaves_, std::numeric_limits<Index>::min());
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+      maxHi_[leaves_ + i] = entries_[i].run.hi;
+    }
+    for (std::size_t i = leaves_ - 1; i > 0; --i) {
+      maxHi_[i] = std::max(maxHi_[2 * i], maxHi_[2 * i + 1]);
+    }
   }
 
   // Calls visit(j) for each subregion j whose index set intersects [a, b).
-  // A subregion is reported once per overlapping run.
+  // A subregion is reported once per overlapping run. Walking left from
+  // the first run that starts at or after b costs O(1) per overlap and
+  // O(log runs) per stretch of runs that end by a.
   template <typename Visit>
   void forOverlaps(Index a, Index b, Visit&& visit) const {
     if (entries_.empty() || b <= a) return;
-    // First entry with lo >= b can't overlap; walk left from there.
-    auto it = std::lower_bound(
-        entries_.begin(), entries_.end(), b,
-        [](const Entry& e, Index v) { return e.run.lo < v; });
-    while (it != entries_.begin()) {
-      --it;
-      const std::size_t pos = static_cast<std::size_t>(it - entries_.begin());
-      if (maxHiPrefix_[pos] <= a) break;  // nothing further left reaches [a,b)
-      if (it->run.hi > a) visit(it->owner);
+    auto pos = static_cast<std::size_t>(
+        std::lower_bound(entries_.begin(), entries_.end(), b,
+                         [](const Entry& e, Index v) { return e.run.lo < v; }) -
+        entries_.begin());
+    while (pos > 0 && maxHiPrefix_[pos - 1] > a) {
+      const Entry& e = entries_[pos - 1];
+      if (e.run.hi > a) {
+        visit(e.owner);
+        --pos;
+      } else {
+        pos = lastReachingPast(pos - 1, a) + 1;
+      }
     }
   }
 
@@ -76,8 +93,24 @@ class RunIndex {
     Run run;
     std::size_t owner;
   };
+
+  // The last entry before `end` whose run ends after a; one must exist.
+  std::size_t lastReachingPast(std::size_t end, Index a) const {
+    std::size_t node = leaves_ + end - 1;
+    while (maxHi_[node] <= a) {
+      while (node % 2 == 0) node /= 2;  // a left child: its parent's left
+      --node;                           // neighbor is the next one left
+    }
+    while (node < leaves_) {
+      node = maxHi_[2 * node + 1] > a ? 2 * node + 1 : 2 * node;
+    }
+    return node - leaves_;
+  }
+
   std::vector<Entry> entries_;
   std::vector<Index> maxHiPrefix_;
+  std::size_t leaves_ = 0;
+  std::vector<Index> maxHi_;
 };
 
 // Runs fn(0..n-1), fanning out across the pool when one is supplied.

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -335,6 +336,34 @@ TEST(DplOracle, RangeImageAndPreimageMatchBruteForce) {
                       rangeTable(kSmall, kSmall, rng));
   checkImage(w, /*ranged=*/true, kPieceCounts, kSources, "ranges", pool);
   checkPreimage(w, /*ranged=*/true, kPieceCounts, kSources, "ranges", pool);
+}
+
+// Range preimage over a source whose first subregion holds all of T and
+// whose other 255 each hold one interval of up to 300 elements. The first
+// subregion's run keeps the run index's prefix maximum at the end of T, so
+// each query skips the runs that end before it through the max-hi tree,
+// and many earlier runs still reach past the ones it skips.
+TEST(DplOracle, RangePreimageUnderALongEarlyRunMatchesBruteForce) {
+  ThreadPool pool(4);
+  Rng rng(0x10e9);
+  const OracleWorld w(kSmall, kSmall,
+                      pointTable(Map::Monotone, kSmall, kSmall, rng),
+                      rangeTable(kSmall, kSmall, rng));
+  Model model(256);
+  model[0].resize(static_cast<std::size_t>(w.m));
+  std::iota(model[0].begin(), model[0].end(), Index{0});
+  for (std::size_t j = 1; j < model.size(); ++j) {
+    const Index lo = rng.range(0, w.m);
+    model[j].resize(static_cast<std::size_t>(
+        std::min(w.m, lo + rng.range(1, 300)) - lo));
+    std::iota(model[j].begin(), model[j].end(), lo);
+  }
+  const Partition dst = toPartition("T", model);
+  const Reference ref = w.preimageReference(/*ranged=*/true, model);
+  expectEqual(preimagePartition(w.world, "S", "S[.].span", dst), ref,
+              "long early run serial");
+  expectEqual(preimagePartition(w.world, "S", "S[.].span", dst, &pool), ref,
+              "long early run pooled");
 }
 
 // One region of 2^20 elements at 256 pieces: a dense random map sends every
